@@ -33,39 +33,40 @@ val of_index : int -> category
 type t
 
 val create : ?metrics:Pti_obs.Metrics.t -> unit -> t
-(** When [metrics] is given, delivery latencies feed
-    [net.latency_ms.<category>] histograms and per-category byte/message
-    totals are exported as [net.bytes.<category>] /
-    [net.messages.<category>] gauges (snapshot-time callbacks), so the
-    network shares one registry with the peers that use it. *)
+(** Delivery latencies feed [net.latency_ms.<category>] histograms and
+    per-category byte/message totals are exported as
+    [net.bytes.<category>] / [net.messages.<category>] gauges
+    (snapshot-time callbacks) in [metrics], so the network shares one
+    registry with the peers that use it; without [metrics] they go to a
+    private registry. Two fabrics given the same registry share its
+    latency histograms. *)
 
 val record : t -> category -> bytes:int -> unit
 val bytes : t -> category -> int
 val messages : t -> category -> int
 val total_bytes : t -> int
 val total_messages : t -> int
+
 val reset : t -> unit
+(** Zeroes the traffic totals, clears the latency histograms (shared
+    ones included) and forgets the RTT estimates. *)
 
-val merge : t -> t -> t
-(** Sum of two accountings (fresh; latency samples are concatenated, RTT
-    estimates of a peer both sides observed are averaged). *)
+(** {1 Delivery latencies}
 
-(** {1 Delivery latencies} *)
+    No sample is kept: each delivery is one {!Pti_obs.Metrics.observe}
+    into the category's histogram, so memory stays constant however
+    long the run. *)
 
 val record_latency : t -> category -> ms:float -> unit
 (** Called by the network when a message is first delivered: simulated
     time between the original send and the arrival. *)
 
-val latency_samples : t -> category -> float list
-(** Chronological. *)
-
 val latency_percentile : t -> category -> float -> float option
 (** [latency_percentile t c 0.5] is the median delivery latency of the
-    category (nearest-rank); [None] when no sample exists. The argument
-    must be in [\[0;1\]]. The sorted view is maintained incrementally:
-    a query sorts only the samples recorded since the previous query
-    and merges them into the sorted prefix, so interleaving recording
-    with snapshots never re-sorts the whole history. *)
+    category, read from its histogram with {!Pti_obs.Metrics.quantile}:
+    nearest-rank, at most 12.5 % above the exact value, exact for the
+    minimum and maximum. [None] when nothing was recorded.
+    @raise Invalid_argument unless the argument is in [\[0;1\]]. *)
 
 (** {1 Per-peer round-trip observations}
 

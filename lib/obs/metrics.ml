@@ -7,10 +7,35 @@
    histogram's bucket counts always sum to its count; sum/min/max belong
    to the same prefix of observations): it never tears. *)
 
+(* One bucket layout shared by every histogram: log-linear, [sub_buckets]
+   linear steps per octave from 2^[min_exp] ms to 2^[max_exp] ms (about
+   1 us to 17 min), plus an underflow bucket at or below 2^[min_exp] and
+   an overflow bucket above 2^[max_exp]. Consecutive bounds differ by at
+   most a factor 1 + 1/[sub_buckets], which is the quantile error bound
+   stated in the interface. Powers of two times j/8 are exact floats, so
+   the bounds print and compare exactly. *)
+let sub_buckets = 8
+let min_exp = -10
+let max_exp = 20
+
+let bounds =
+  Array.init
+    (1 + ((max_exp - min_exp) * sub_buckets))
+    (fun i ->
+      if i = 0 then Float.ldexp 1. min_exp
+      else
+        let octave = (i - 1) / sub_buckets
+        and j = ((i - 1) mod sub_buckets) + 1 in
+        Float.ldexp
+          (1. +. (float_of_int j /. float_of_int sub_buckets))
+          (min_exp + octave))
+
+let n_bounds = Array.length bounds
+let bucket_bound i = if i = n_bounds then infinity else bounds.(i)
+
 type hist = {
   h_mu : Mutex.t;
-  bounds : float array;  (* finite upper bounds, strictly increasing *)
-  counts : int array;  (* length = Array.length bounds + 1 (overflow) *)
+  counts : int array;  (* one per bound, plus the overflow bucket *)
   mutable sum : float;
   mutable count : int;
   mutable minv : float;
@@ -95,10 +120,7 @@ let gauge_fn t name f =
                (kind_name i))
       | None -> Hashtbl.replace t.tbl name (Igauge_fn (ref f)))
 
-let default_buckets =
-  [| 0.25; 0.5; 1.; 2.5; 5.; 10.; 25.; 50.; 100.; 250.; 500.; 1000.; 2500. |]
-
-let histogram ?(buckets = default_buckets) t name =
+let histogram t name =
   with_registry t (fun () ->
       match Hashtbl.find_opt t.tbl name with
       | Some (Ihist h) -> h
@@ -107,18 +129,10 @@ let histogram ?(buckets = default_buckets) t name =
             (Printf.sprintf "Metrics: %S is a %s, not a histogram" name
                (kind_name i))
       | None ->
-          let n = Array.length buckets in
-          if n = 0 then invalid_arg "Metrics.histogram: no buckets";
-          for i = 1 to n - 1 do
-            if buckets.(i) <= buckets.(i - 1) then
-              invalid_arg
-                "Metrics.histogram: buckets must be strictly increasing"
-          done;
           let h =
             {
               h_mu = Mutex.create ();
-              bounds = Array.copy buckets;
-              counts = Array.make (n + 1) 0;
+              counts = Array.make (n_bounds + 1) 0;
               sum = 0.;
               count = 0;
               minv = nan;
@@ -129,16 +143,18 @@ let histogram ?(buckets = default_buckets) t name =
           h)
 
 let observe h v =
-  (* First bucket whose upper bound admits [v]; the overflow bucket is
-     index [Array.length bounds]. A plain loop, not a local recursive
-     function: this is the one call made per sample on the hot path and
-     must not allocate (a closure here shows up at 10^6 inserts) — the
-     mutex guard keeps it that way (lock/unlock allocate nothing). *)
+  (* Binary search for the first bucket whose upper bound admits [v];
+     the overflow bucket is index [n_bounds]. A plain loop over local
+     refs, not a recursive closure: this is the one call made per sample
+     on the hot path and must not allocate (lock/unlock allocate
+     nothing either). *)
+  let lo = ref 0 and hi = ref n_bounds in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    if v <= bounds.(mid) then hi := mid else lo := mid + 1
+  done;
+  let i = !lo in
   Mutex.lock h.h_mu;
-  let n = Array.length h.bounds in
-  let i = ref 0 in
-  while !i < n && v > h.bounds.(!i) do i := !i + 1 done;
-  let i = !i in
   h.counts.(i) <- h.counts.(i) + 1;
   h.sum <- h.sum +. v;
   h.count <- h.count + 1;
@@ -165,45 +181,45 @@ let quantile hs p =
   if hs.h_count = 0 then None
   else begin
     (* Nearest-rank: the smallest rank r (1-based) with r/count >= p,
-       i.e. ceil(p * count), clamped to [1, count] so p = 0.0 reports
-       the minimum's bucket and p = 1.0 the maximum's. (The previous
-       round-based formula biased one rank high — the median of a
-       two-entry histogram landed on the larger observation.) *)
+       i.e. ceil(p * count), clamped to [1, count]. The holding bucket's
+       upper bound is clamped to the observed [min, max], so rank 1 and
+       rank count report the extremes exactly and no estimate leaves the
+       observed range. *)
     let target =
       let r = int_of_float (Float.ceil (p *. float_of_int hs.h_count)) in
       min hs.h_count (max 1 r)
     in
-    let n = Array.length hs.h_buckets in
     let rec scan i cum =
-      if i >= n then Some hs.h_max
+      if i >= Array.length hs.h_buckets then hs.h_max
       else
         let bound, c = hs.h_buckets.(i) in
         let cum = cum + c in
-        if cum >= target then
-          Some (if bound = infinity then hs.h_max else bound)
+        if cum >= target then Float.min hs.h_max (Float.max hs.h_min bound)
         else scan (i + 1) cum
     in
-    scan 0 0
+    Some (if target = 1 then hs.h_min else scan 0 0)
   end
 
 type value = Counter of int | Gauge of float | Histogram of hist_snapshot
 type snapshot = (string * value) list
 
-let snap_hist h =
+let snapshot_histogram h =
   (* Under the instrument mutex: bucket counts, sum, count and min/max
      all describe the same prefix of observations — a snapshot racing
      [observe] on another domain can never tear. *)
   Mutex.lock h.h_mu;
-  let n = Array.length h.bounds in
+  let buckets = ref [] in
+  for i = n_bounds downto 0 do
+    let c = h.counts.(i) in
+    if c > 0 then buckets := (bucket_bound i, c) :: !buckets
+  done;
   let s =
     {
       h_count = h.count;
       h_sum = h.sum;
       h_min = h.minv;
       h_max = h.maxv;
-      h_buckets =
-        Array.init (n + 1) (fun i ->
-            ((if i = n then infinity else h.bounds.(i)), h.counts.(i)));
+      h_buckets = Array.of_list !buckets;
     }
   in
   Mutex.unlock h.h_mu;
@@ -217,7 +233,7 @@ let snap_instrument = function
       Mutex.unlock g.g_mu;
       Gauge v
   | Igauge_fn f -> Gauge (!f ())
-  | Ihist h -> Histogram (snap_hist h)
+  | Ihist h -> Histogram (snapshot_histogram h)
 
 let snapshot t =
   (* Collect the instrument list under the registry mutex, then merge
@@ -308,6 +324,15 @@ let to_json (s : snapshot) =
   Buffer.add_char b '}';
   Buffer.contents b
 
+let clear_histogram h =
+  Mutex.lock h.h_mu;
+  Array.fill h.counts 0 (Array.length h.counts) 0;
+  h.sum <- 0.;
+  h.count <- 0;
+  h.minv <- nan;
+  h.maxv <- nan;
+  Mutex.unlock h.h_mu
+
 let reset t =
   let instruments =
     with_registry t (fun () ->
@@ -319,12 +344,5 @@ let reset t =
       | Icounter r -> Atomic.set r 0
       | Igauge g -> set_gauge g 0.
       | Igauge_fn _ -> ()
-      | Ihist h ->
-          Mutex.lock h.h_mu;
-          Array.fill h.counts 0 (Array.length h.counts) 0;
-          h.sum <- 0.;
-          h.count <- 0;
-          h.minv <- nan;
-          h.maxv <- nan;
-          Mutex.unlock h.h_mu)
+      | Ihist h -> clear_histogram h)
     instruments

@@ -1,5 +1,5 @@
 (** A process-wide metrics registry: named counters, gauges and
-    fixed-bucket histograms every layer reports through, with one
+    histograms every layer reports through, with one
     [snapshot]/[pp]/[to_json] surface.
 
     Naming scheme (see HACKING.md): dot-separated lowercase paths,
@@ -49,16 +49,19 @@ val gauge_fn : t -> string -> (unit -> float) -> unit
 
 type histogram
 
-val histogram : ?buckets:float array -> t -> string -> histogram
-(** [buckets] are the finite upper bounds, strictly increasing; an
-    implicit overflow bucket catches the rest. Defaults to
-    {!default_buckets}. A histogram re-requested by name keeps its
-    original buckets. *)
-
-val default_buckets : float array
-(** Latency-flavoured: 0.25 … 2500 (ms). *)
+val histogram : t -> string -> histogram
+(** Every histogram shares one fixed log-linear bucket layout: 8 linear
+    sub-buckets per octave from 2{^-10} to 2{^20} (in ms: about 1 µs to
+    17 minutes), an underflow bucket for values at or below 2{^-10} and
+    an overflow bucket above 2{^20}. Adjacent bounds differ by at most
+    a factor 1.125, which bounds the error of {!quantile}. *)
 
 val observe : histogram -> float -> unit
+(** Allocation-free: a binary search over the shared layout. *)
+
+val clear_histogram : histogram -> unit
+(** Forget every observation of one histogram (what {!reset} does to
+    each histogram of a registry). *)
 
 (** {1 Snapshots} *)
 
@@ -68,16 +71,21 @@ type hist_snapshot = {
   h_min : float;  (** [nan] when empty. *)
   h_max : float;  (** [nan] when empty. *)
   h_buckets : (float * int) array;
-      (** (upper bound, count) per bucket; the last bound is [infinity]. *)
+      (** (upper bound, count) of each non-empty bucket, in increasing
+          bound order; the overflow bucket's bound is [infinity]. *)
 }
 
+val snapshot_histogram : histogram -> hist_snapshot
+(** A consistent snapshot of one histogram, without a registry lookup. *)
+
 val quantile : hist_snapshot -> float -> float option
-(** Bucket-resolution estimate: the upper bound of the bucket holding the
-    p-quantile observation (the observed max for the overflow bucket),
-    with the nearest-rank rule — rank [ceil(p * count)] clamped to
-    [[1, count]], so [p = 0.0] reports the minimum's bucket and
-    [p = 1.0] the maximum's on histograms of any size. [None] when the
-    histogram is empty. *)
+(** Nearest-rank estimate: the observation of rank [ceil(p * count)],
+    clamped to [[1, count]], is reported as the upper bound of its
+    bucket clamped to the observed [[h_min, h_max]]. Rank 1 reports
+    [h_min] and rank [count] reports [h_max] exactly. Between them, for
+    a true value [v] in [[2{^-10}, 2{^20}]] the estimate lies in
+    [[v, 1.125 v]] (at most 12.5 % high); below 2{^-10} it is at most
+    2{^-10} high. [None] when the histogram is empty. *)
 
 type value =
   | Counter of int

@@ -85,13 +85,6 @@ let fam_of_addr a =
   | Some k -> k
   | None -> invalid_arg ("Driver: unexpected sender " ^ a)
 
-(* Delivery latencies at population scale sit in the single-digit-ms
-   band (sim latency + fetch stalls), well under the Metrics defaults'
-   granularity. *)
-let latency_buckets =
-  [| 0.5; 1.; 1.5; 2.; 2.5; 3.; 4.; 5.; 7.5; 10.; 15.; 20.; 30.; 50.;
-     75.; 100.; 250.; 1000. |]
-
 let validate cfg =
   if cfg.sessions <= 0 then invalid_arg "scale: sessions must be positive";
   if cfg.families <= 0 then invalid_arg "scale: families must be positive";
@@ -150,7 +143,7 @@ let run ?metrics cfg =
   let c_flash_asm = Metrics.counter m "scale.flash.asm_fetches" in
   let c_tdesc_req = Metrics.counter m "scale.fetch.tdesc_requests" in
   let c_asm_req = Metrics.counter m "scale.fetch.asm_requests" in
-  let hist = Metrics.histogram ~buckets:latency_buckets m "scale.latency_ms" in
+  let hist = Metrics.histogram m "scale.latency_ms" in
   Metrics.set_gauge (Metrics.gauge m "scale.sessions")
     (float_of_int cfg.sessions);
   Metrics.gauge_fn m "scale.sessions.live" (fun () ->
@@ -361,20 +354,11 @@ let run ?metrics cfg =
     else float_of_int deliveries /. (duration_ms /. 1000.)
   in
   Metrics.set_gauge (Metrics.gauge m "scale.deliveries_per_sec") dps;
-  let hs =
-    match Metrics.find m "scale.latency_ms" with
-    | Some (Metrics.Histogram h) -> Some h
-    | _ -> None
-  in
-  let q p = match hs with
-    | Some h -> (match Metrics.quantile h p with Some v -> v | None -> 0.)
-    | None -> 0.
-  in
+  let hs = Metrics.snapshot_histogram hist in
+  let q p = Option.value ~default:0. (Metrics.quantile hs p) in
   let mean_ms =
-    match hs with
-    | Some h when h.Metrics.h_count > 0 ->
-        h.Metrics.h_sum /. float_of_int h.Metrics.h_count
-    | _ -> 0.
+    if hs.Metrics.h_count = 0 then 0.
+    else hs.Metrics.h_sum /. float_of_int hs.Metrics.h_count
   in
   let tc = Peer.shared_tdesc_cache_counters shared in
   let tdesc_total = tc.Lru.hits + tc.Lru.misses in

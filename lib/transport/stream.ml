@@ -275,6 +275,33 @@ let find_conn t ~local ~peer =
     (fun c -> c.cn_alive && c.cn_local = local && c.cn_peer = Some peer)
     t.conns
 
+(* Every stream connection, dialed or accepted, is nonblocking, and on
+   TCP sends each frame at once: with Nagle's algorithm on, a small
+   frame written while the previous one is unacknowledged waits for the
+   peer's delayed ACK, a 40 ms stall per request/reply exchange. *)
+let add_conn t fd ~local ~peer =
+  Unix.set_nonblock fd;
+  (match t.family with
+  | Tcp -> (
+      (* A peer that already reset the connection fails this; the next
+         read or write reports it. *)
+      try Unix.setsockopt fd Unix.TCP_NODELAY true
+      with Unix.Unix_error _ -> ())
+  | Unix_socket -> ());
+  let c =
+    {
+      fd;
+      cn_local = local;
+      cn_peer = peer;
+      cn_dec = Framing.Decoder.create ();
+      cn_out = Queue.create ();
+      cn_off = 0;
+      cn_alive = true;
+    }
+  in
+  t.conns <- c :: t.conns;
+  c
+
 let kill_conn t c =
   if c.cn_alive then begin
     c.cn_alive <- false;
@@ -346,19 +373,7 @@ let rec try_dial t ~src ~dst =
                   fd
                 with
                 | fd ->
-                    Unix.set_nonblock fd;
-                    let c =
-                      {
-                        fd;
-                        cn_local = src;
-                        cn_peer = Some dst;
-                        cn_dec = Framing.Decoder.create ();
-                        cn_out = Queue.create ();
-                        cn_off = 0;
-                        cn_alive = true;
-                      }
-                    in
-                    t.conns <- c :: t.conns;
+                    let c = add_conn t fd ~local:src ~peer:(Some dst) in
                     enqueue c (hello_frame src);
                     Queue.iter (fun (_, f) -> enqueue c f) p.pd_frames;
                     Queue.clear p.pd_frames;
@@ -551,19 +566,7 @@ let service_accept t ep =
   let rec go () =
     match Unix.accept ep.ep_listen with
     | fd, _ ->
-        Unix.set_nonblock fd;
-        let c =
-          {
-            fd;
-            cn_local = ep.ep_addr;
-            cn_peer = None;
-            cn_dec = Framing.Decoder.create ();
-            cn_out = Queue.create ();
-            cn_off = 0;
-            cn_alive = true;
-          }
-        in
-        t.conns <- c :: t.conns;
+        ignore (add_conn t fd ~local:ep.ep_addr ~peer:None);
         go ()
     | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
     | exception Unix.Unix_error _ -> ()

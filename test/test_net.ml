@@ -291,11 +291,13 @@ let test_latency_percentiles () =
   done;
   Net.run net;
   let s = Net.stats net in
-  Alcotest.(check int) "samples" 9
-    (List.length (Stats.latency_samples s Stats.Object_msg));
-  (match Stats.latency_percentile s Stats.Object_msg 0.5 with
-  | Some p -> Alcotest.(check (float 1e-9)) "median" 10. p
-  | None -> Alcotest.fail "no median");
+  List.iter
+    (fun q ->
+      Alcotest.(check (option (float 1e-9)))
+        (Printf.sprintf "q%g of nine 10 ms deliveries" q)
+        (Some 10.)
+        (Stats.latency_percentile s Stats.Object_msg q))
+    [ 0.; 0.5; 1. ];
   Alcotest.(check (option (float 1e-9))) "empty category" None
     (Stats.latency_percentile s Stats.Control 0.5);
   (* Under loss + reliability, latencies include the retry waits. *)
@@ -312,12 +314,13 @@ let test_latency_percentiles () =
   | Some p95 -> Alcotest.(check bool) "p95 includes retries" true (p95 >= 50.)
   | None -> Alcotest.fail "no p95"
 
-(* Exact nearest-rank pins for the sorted-array memo: 100 known samples,
-   then a 101st that must invalidate the cached sort. *)
+(* Exact pins of the histogram quantile for 100 known samples: the
+   extremes are exact, every other rank reports the upper bound of its
+   bucket (clamped to the observed max), and a later batch of samples is
+   reflected in the very next query. *)
 let test_latency_percentile_pins () =
   let s = Stats.create () in
-  (* 1..100 inserted out of order (evens first, then odds) so the test
-     actually exercises the sort. *)
+  (* 1..100 inserted out of order (evens first, then odds). *)
   for i = 1 to 100 do
     Stats.record_latency s Stats.Object_msg
       ~ms:(float_of_int (if i <= 50 then 2 * i else (2 * (i - 50)) - 1))
@@ -328,51 +331,81 @@ let test_latency_percentile_pins () =
     | None -> Alcotest.fail "no percentile"
   in
   Alcotest.(check (float 1e-9)) "p0 = min" 1. (p 0.);
-  Alcotest.(check (float 1e-9)) "p50 (rank 50 of 0..99)" 51. (p 0.5);
-  Alcotest.(check (float 1e-9)) "p99" 99. (p 0.99);
+  Alcotest.(check (float 1e-9)) "p25 (rank 25 in (24,26])" 26. (p 0.25);
+  Alcotest.(check (float 1e-9)) "p50 (rank 50 in (48,52])" 52. (p 0.5);
+  Alcotest.(check (float 1e-9)) "p90 (rank 90 in (88,96])" 96. (p 0.9);
+  Alcotest.(check (float 1e-9)) "p99 (bucket bound 104 clamped to max)" 100.
+    (p 0.99);
   Alcotest.(check (float 1e-9)) "p100 = max" 100. (p 1.0);
-  (* Repeated queries hit the memo; a fresh sample must invalidate it. *)
-  Alcotest.(check (float 1e-9)) "repeat query stable" 51. (p 0.5);
-  Stats.record_latency s Stats.Object_msg ~ms:0.5;
-  Alcotest.(check (float 1e-9)) "new sample shifts the median" 50. (p 0.5);
+  Alcotest.(check (float 1e-9)) "repeat query stable" 52. (p 0.5);
+  (* Five fresh low samples: n = 105, rank 53 is the sample 48. *)
+  for _ = 1 to 5 do
+    Stats.record_latency s Stats.Object_msg ~ms:0.5
+  done;
+  Alcotest.(check (float 1e-9)) "new samples shift the median" 48. (p 0.5);
   Alcotest.(check (float 1e-9)) "new sample is the min" 0.5 (p 0.)
 
-(* Regression for the incremental sorted memo: interleaving inserts and
-   percentile queries must agree with a from-scratch sort at every step.
-   The old memo went stale here — a query between two insert batches
-   cached a sorted view the next batch then had to merge into, and a bug
-   in the tail merge shows up as a percentile computed over yesterday's
-   samples. *)
+(* The histogram quantile against the exact nearest-rank value of the
+   same samples: never below it, at most one bucket step (x1.125) above
+   it, and inside the observed [min, max]. Queries interleave with
+   batches of inserts, so a stale or torn read would show as a miss. *)
 let test_latency_percentile_interleaved () =
-  let s = Stats.create () in
   let rng = Pti_util.Splitmix.create 77L in
-  let all = ref [] in
-  let reference q =
-    let a = Array.of_list !all in
-    Array.sort compare a;
-    let n = Array.length a in
-    a.(min (n - 1) (int_of_float (Float.round (q *. float_of_int (n - 1)))))
-  in
-  let quantiles = [ 0.; 0.25; 0.5; 0.9; 0.99; 1.0 ] in
-  for batch = 1 to 12 do
-    (* Uneven batch sizes, including a singleton, so the merge sees
-       tails both shorter and longer than the sorted prefix. *)
-    let size = if batch mod 3 = 0 then 1 else 7 * batch in
-    for _ = 1 to size do
-      let v = Pti_util.Splitmix.float rng *. 100. in
-      all := v :: !all;
-      Stats.record_latency s Stats.Object_msg ~ms:v
-    done;
-    List.iter
-      (fun q ->
-        match Stats.latency_percentile s Stats.Object_msg q with
-        | Some v ->
-            Alcotest.(check (float 1e-9))
-              (Printf.sprintf "batch %d q%.2f matches full re-sort" batch q)
-              (reference q) v
-        | None -> Alcotest.fail "percentile vanished")
-      quantiles
+  for trial = 1 to 20 do
+    let s = Stats.create () in
+    let all = ref [] in
+    let batches = 1 + (trial mod 4) in
+    for batch = 1 to batches do
+      for _ = 1 to 1 + (trial * batch * 7 mod 250) do
+        (* Log-uniform over 0.01 ms .. 10 s: every octave of interest. *)
+        let v = 0.01 *. (10. ** (6. *. Pti_util.Splitmix.float rng)) in
+        all := v :: !all;
+        Stats.record_latency s Stats.Object_msg ~ms:v
+      done;
+      let sorted = Array.of_list !all in
+      Array.sort Float.compare sorted;
+      let n = Array.length sorted in
+      List.iter
+        (fun q ->
+          let rank =
+            min n (max 1 (int_of_float (Float.ceil (q *. float_of_int n))))
+          in
+          let exact = sorted.(rank - 1) in
+          match Stats.latency_percentile s Stats.Object_msg q with
+          | None -> Alcotest.fail "percentile vanished"
+          | Some est ->
+              if
+                est < exact || est > 1.125 *. exact || est < sorted.(0)
+                || est > sorted.(n - 1)
+              then
+                Alcotest.failf
+                  "trial %d batch %d q%g: estimate %g, exact %g, range [%g, %g]"
+                  trial batch q est exact sorted.(0) sorted.(n - 1))
+        [ 0.; 0.01; 0.25; 0.5; 0.9; 0.95; 0.99; 1. ]
+    done
   done
+
+(* A million deliveries cost no memory: the accounting keeps bucket
+   counts, not samples. *)
+let test_latency_memory_bounded () =
+  let s = Stats.create () in
+  let live () =
+    Gc.compact ();
+    (Gc.stat ()).Gc.live_words
+  in
+  Stats.record_latency s Stats.Object_msg ~ms:1.;
+  let before = live () in
+  for i = 1 to 1_000_000 do
+    Stats.record_latency s Stats.Object_msg
+      ~ms:(float_of_int (i mod 5000) *. 0.1)
+  done;
+  let growth = live () - before in
+  Alcotest.(check bool)
+    (Printf.sprintf "live words grew by %d (< 1000)" growth)
+    true (growth < 1000);
+  Alcotest.(check (option (float 0.)))
+    "max still exact" (Some (4999. *. 0.1))
+    (Stats.latency_percentile s Stats.Object_msg 1.)
 
 let test_stats_metrics_registry () =
   let m = Pti_obs.Metrics.create () in
@@ -388,16 +421,21 @@ let test_stats_metrics_registry () =
       Alcotest.(check (float 0.)) "bytes gauge live" 42. v
   | _ -> Alcotest.fail "net.bytes.object missing"
 
-let test_stats_merge_reset () =
-  let a = Stats.create () and b = Stats.create () in
+let test_stats_reset () =
+  let a = Stats.create () in
   Stats.record a Stats.Object_msg ~bytes:10;
-  Stats.record b Stats.Object_msg ~bytes:5;
-  Stats.record b Stats.Control ~bytes:1;
-  let m = Stats.merge a b in
-  Alcotest.(check int) "merged bytes" 15 (Stats.bytes m Stats.Object_msg);
-  Alcotest.(check int) "merged total" 16 (Stats.total_bytes m);
+  Stats.record a Stats.Control ~bytes:1;
+  Stats.record_latency a Stats.Object_msg ~ms:3.;
+  Stats.record_rtt a ~peer:"b" ~ms:2.;
+  Alcotest.(check int) "total" 11 (Stats.total_bytes a);
   Stats.reset a;
-  Alcotest.(check int) "reset" 0 (Stats.total_bytes a)
+  Alcotest.(check int) "bytes reset" 0 (Stats.total_bytes a);
+  Alcotest.(check int) "messages reset" 0 (Stats.total_messages a);
+  Alcotest.(check (option (float 0.)))
+    "latencies cleared" None
+    (Stats.latency_percentile a Stats.Object_msg 0.5);
+  Alcotest.(check (option (float 0.))) "rtts cleared" None
+    (Stats.rtt a ~peer:"b")
 
 let test_determinism () =
   (* Two identically-seeded networks with jitter produce identical
@@ -809,13 +847,15 @@ let () =
         ] );
       ( "stats",
         [
-          Alcotest.test_case "merge+reset" `Quick test_stats_merge_reset;
+          Alcotest.test_case "reset" `Quick test_stats_reset;
           Alcotest.test_case "latency percentiles" `Quick
             test_latency_percentiles;
           Alcotest.test_case "percentile pins and memo" `Quick
             test_latency_percentile_pins;
           Alcotest.test_case "percentiles under interleaved inserts" `Quick
             test_latency_percentile_interleaved;
+          Alcotest.test_case "latency memory bounded" `Quick
+            test_latency_memory_bounded;
           Alcotest.test_case "metrics registry" `Quick
             test_stats_metrics_registry;
         ] );

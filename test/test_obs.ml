@@ -381,9 +381,12 @@ let test_metrics_counters_and_gauges () =
     [ "a.count"; "a.fn"; "a.gauge" ]
     names
 
+(* The fixed log-linear layout: 8 steps per octave, so 5 ms lands in
+   (4.5, 5], 50 ms in (48, 52] and 5000 ms in (4608, 5120]. Snapshots
+   list only the non-empty buckets. *)
 let test_metrics_histogram () =
   let m = Metrics.create () in
-  let h = Metrics.histogram ~buckets:[| 1.; 10.; 100. |] m "lat" in
+  let h = Metrics.histogram m "lat" in
   List.iter (Metrics.observe h) [ 0.5; 5.; 5.; 50.; 5000. ];
   match Metrics.find m "lat" with
   | Some (Metrics.Histogram s) ->
@@ -392,14 +395,17 @@ let test_metrics_histogram () =
       Alcotest.(check (float 0.)) "min" 0.5 s.Metrics.h_min;
       Alcotest.(check (float 0.)) "max" 5000. s.Metrics.h_max;
       Alcotest.(check (list (pair (float 0.) int)))
-        "buckets"
-        [ (1., 1); (10., 2); (100., 1); (infinity, 1) ]
+        "non-empty buckets only"
+        [ (0.5, 1); (5., 2); (52., 1); (5120., 1) ]
         (Array.to_list s.Metrics.h_buckets);
       Alcotest.(check (option (float 0.)))
-        "p50 estimate" (Some 10.)
+        "p50 estimate" (Some 5.)
         (Metrics.quantile s 0.5);
       Alcotest.(check (option (float 0.)))
-        "overflow quantile reports observed max" (Some 5000.)
+        "p80 is 50's bucket bound" (Some 52.)
+        (Metrics.quantile s 0.8);
+      Alcotest.(check (option (float 0.)))
+        "top bucket clamped to the observed max" (Some 5000.)
         (Metrics.quantile s 0.99)
   | _ -> Alcotest.fail "lat missing"
 
@@ -408,56 +414,65 @@ let snap_of m name =
   | Some (Metrics.Histogram s) -> s
   | _ -> Alcotest.fail (name ^ " missing")
 
-(* Nearest-rank edge pins: rank = ceil(p * count) clamped to [1, count].
-   The old round-based formula biased one rank high — on a two-entry
-   histogram p50 (and even p0) reported the larger observation. *)
+(* Nearest-rank edge pins: rank = ceil(p * count) clamped to [1, count];
+   rank 1 and rank count report the observed extremes exactly, interior
+   ranks the holding bucket's bound clamped to [min, max]. *)
 let test_metrics_quantile_edges () =
   let m = Metrics.create () in
-  let h1 = Metrics.histogram ~buckets:[| 1.; 10. |] m "one" in
+  let h1 = Metrics.histogram m "one" in
   Metrics.observe h1 5.;
   let s1 = snap_of m "one" in
   List.iter
     (fun p ->
       Alcotest.(check (option (float 0.)))
         (Printf.sprintf "1-entry p%g" (p *. 100.))
-        (Some 10.) (Metrics.quantile s1 p))
+        (Some 5.) (Metrics.quantile s1 p))
     [ 0.0; 0.5; 1.0 ];
-  let h2 = Metrics.histogram ~buckets:[| 1.; 10. |] m "two" in
+  let h2 = Metrics.histogram m "two" in
   Metrics.observe h2 0.5;
-  Metrics.observe h2 5.;
+  Metrics.observe h2 4.2;
   let s2 = snap_of m "two" in
   Alcotest.(check (option (float 0.)))
-    "2-entry p0 is the minimum's bucket" (Some 1.)
+    "2-entry p0 is the minimum" (Some 0.5)
     (Metrics.quantile s2 0.0);
   Alcotest.(check (option (float 0.)))
-    "2-entry p50 is the smaller observation's bucket" (Some 1.)
+    "2-entry p50 is the smaller observation" (Some 0.5)
     (Metrics.quantile s2 0.5);
   Alcotest.(check (option (float 0.)))
-    "2-entry p100 is the maximum's bucket" (Some 10.)
+    "2-entry p100 is the maximum" (Some 4.2)
     (Metrics.quantile s2 1.0);
-  (* p100 landing in the overflow bucket reports the observed max. *)
-  let h3 = Metrics.histogram ~buckets:[| 1. |] m "ovf" in
-  Metrics.observe h3 0.5;
-  Metrics.observe h3 42.;
-  let s3 = snap_of m "ovf" in
+  (* An interior rank reports its bucket's upper bound: 0.31 is in
+     (0.28125, 0.3125]. *)
+  let h3 = Metrics.histogram m "mid" in
+  List.iter (Metrics.observe h3) [ 0.3; 0.31; 42. ];
   Alcotest.(check (option (float 0.)))
-    "overflow p100 reports observed max" (Some 42.)
-    (Metrics.quantile s3 1.0);
+    "interior rank reports the bucket bound" (Some 0.3125)
+    (Metrics.quantile (snap_of m "mid") 0.5);
+  (* Underflow (<= 2^-10) and overflow (> 2^20) buckets. *)
+  let h4 = Metrics.histogram m "ovf" in
+  List.iter (Metrics.observe h4) [ 1e-4; 3e6; 4e6 ];
+  let s4 = snap_of m "ovf" in
+  Alcotest.(check (list (pair (float 0.) int)))
+    "underflow and overflow buckets"
+    [ (Float.ldexp 1. (-10), 1); (infinity, 2) ]
+    (Array.to_list s4.Metrics.h_buckets);
   Alcotest.(check (option (float 0.)))
-    "overflow histogram p0 stays in the finite bucket" (Some 1.)
-    (Metrics.quantile s3 0.0)
+    "overflow rank reports the observed max" (Some 4e6)
+    (Metrics.quantile s4 0.5);
+  Alcotest.(check (option (float 0.)))
+    "underflow p0 is the minimum" (Some 1e-4)
+    (Metrics.quantile s4 0.0)
 
 (* Snapshotting mid-stream must not disturb later observations: the
-   allocation-free bucket walk keeps no per-observe state, so quantile
+   allocation-free bucket search keeps no per-observe state, so quantile
    estimates after interleaved observe/snapshot rounds equal those of an
    uninterrupted run over the same values. *)
 let test_metrics_histogram_interleaved_snapshots () =
-  let buckets = [| 1.; 2.; 5.; 10.; 50. |] in
   let values =
     [ 0.3; 7.; 7.; 1.5; 120.; 4.; 4.; 0.9; 30.; 9.; 1.1; 0.2 ]
   in
   let m = Metrics.create () in
-  let h = Metrics.histogram ~buckets m "lat" in
+  let h = Metrics.histogram m "lat" in
   List.iteri
     (fun i v ->
       Metrics.observe h v;
@@ -469,7 +484,7 @@ let test_metrics_histogram_interleaved_snapshots () =
         | _ -> Alcotest.fail "lat missing")
     values;
   let control = Metrics.create () in
-  let hc = Metrics.histogram ~buckets control "lat" in
+  let hc = Metrics.histogram control "lat" in
   List.iter (Metrics.observe hc) values;
   match (Metrics.find m "lat", Metrics.find control "lat") with
   | Some (Metrics.Histogram a), Some (Metrics.Histogram b) ->
@@ -490,9 +505,11 @@ let test_metrics_json () =
   let m = Metrics.create () in
   Metrics.incr ~by:3 (Metrics.counter m "c");
   Metrics.set_gauge (Metrics.gauge m "g") 1.5;
-  let h = Metrics.histogram ~buckets:[| 1. |] m "h" in
+  let h = Metrics.histogram m "h" in
   Metrics.observe h 0.5;
   let json = Metrics.to_json (Metrics.snapshot m) in
+  Alcotest.(check bool) "only the non-empty bucket in json" true
+    (contains ~needle:"\"buckets\":[[0.5,1]]" json);
   Alcotest.(check bool) "counter in json" true
     (contains ~needle:"\"c\":3" json);
   Alcotest.(check bool) "gauge in json" true

@@ -86,6 +86,51 @@ let test_stream_loopback kind () =
        !events);
   Transport.close tr
 
+(* Regression: TCP connections must send each frame at once. Every
+   round, a sends two small frames with a poll between them and b
+   answers the second. With Nagle's algorithm on, the second frame
+   waits for b's delayed ACK of the first (about 40 ms on Linux), so
+   the 50 rounds took seconds; with TCP_NODELAY they take milliseconds. *)
+let test_tcp_no_nagle_stall () =
+  skip_unless_sockets Unix.PF_INET;
+  let tr = Transport.create_tcp ~codec:string_codec () in
+  let replies = ref 0 in
+  let a =
+    Transport.add_endpoint tr "a" ~handler:(fun ~src:_ _ -> incr replies)
+  in
+  let b = ref None in
+  b :=
+    Some
+      (Transport.add_endpoint tr "b" ~handler:(fun ~src s ->
+           match !b with
+           | Some b when s = "second" ->
+               Transport.send b ~dst:src ~category:Stats.Object_msg ~size:4
+                 "done"
+           | _ -> ()));
+  (match Transport.listen_spec tr "b" with
+  | Some spec -> Transport.register_remote tr "b" spec
+  | None -> Alcotest.fail "endpoint b has no listen spec");
+  let round () =
+    let want = !replies + 1 in
+    Transport.send a ~dst:"b" ~category:Stats.Object_msg ~size:5 "first";
+    ignore (Transport.poll tr ~timeout_ms:1.);
+    Transport.send a ~dst:"b" ~category:Stats.Object_msg ~size:6 "second";
+    Transport.drive_until tr
+      ~deadline_ms:(Transport.now_ms tr +. 10_000.)
+      (fun () -> !replies = want)
+  in
+  (* One round to connect, then time the steady state. *)
+  Alcotest.(check bool) "connected" true (round ());
+  let t0 = Unix.gettimeofday () in
+  for i = 1 to 50 do
+    if not (round ()) then Alcotest.failf "round %d got no reply" i
+  done;
+  let elapsed = Unix.gettimeofday () -. t0 in
+  Transport.close tr;
+  Alcotest.(check bool)
+    (Printf.sprintf "50 rounds in %.3f s (< 1 s)" elapsed)
+    true (elapsed < 1.0)
+
 let test_stream_fault_middleware () =
   skip_unless_sockets Unix.PF_UNIX;
   let tr = fst (fresh_unix_fabric ()) in
@@ -321,6 +366,8 @@ let () =
             (test_stream_loopback Transport.Unix_socket);
           Alcotest.test_case "tcp exchange" `Quick
             (test_stream_loopback Transport.Tcp);
+          Alcotest.test_case "tcp request/reply without Nagle stalls" `Quick
+            test_tcp_no_nagle_stall;
         ] );
       ( "stream-faults",
         [
