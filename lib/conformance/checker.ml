@@ -66,15 +66,9 @@ type stats = {
    ["<lowercased-name>\x00<guid>"] (miss marker ["?"]). *)
 type entry = { e_verdict : verdict; e_deps : string list }
 
-let dep_sep = '\x00'
-let dep_miss name = Printf.sprintf "%s%c?" (String.lowercase_ascii name) dep_sep
-
-let dep_witnessed name guid =
-  Printf.sprintf "%s%c%s"
-    (String.lowercase_ascii name)
-    dep_sep (Guid.to_string guid)
-
-let dep_prefix name = Printf.sprintf "%s%c" (String.lowercase_ascii name) dep_sep
+let dep_prefix name = String.lowercase_ascii name ^ "\x00"
+let dep_miss name = dep_prefix name ^ "?"
+let dep_witnessed name guid = dep_prefix name ^ Guid.to_string guid
 
 let dep_has_prefix ~prefix key =
   String.length key >= String.length prefix
@@ -82,6 +76,7 @@ let dep_has_prefix ~prefix key =
 
 type t = {
   cfg : Config.t;
+  cfg_key : string;  (* [Config.key cfg], computed once: [cfg] is immutable *)
   resolve : Td.resolver;
   cache : entry Lru.Str.t;
   (* lowercased type name -> set of cache keys whose entry depends on it *)
@@ -108,6 +103,7 @@ let create ?(config = Config.strict)
   let dep_index = Hashtbl.create 64 in
   {
     cfg = config;
+    cfg_key = Config.key config;
     resolve = resolver;
     cache =
       Lru.Str.create ~capacity:cache_capacity
@@ -221,8 +217,7 @@ let names_conform t ~interest_name actual =
 let id_of (d : Td.t) = Guid.to_string d.Td.ty_guid
 
 let pair_key t (actual : Td.t) (interest : Td.t) =
-  Printf.sprintf "%s<=%s|%s" (id_of actual) (id_of interest)
-    (Config.key t.cfg)
+  String.concat "" [ id_of actual; "<="; id_of interest; "|"; t.cfg_key ]
 
 let note_dep_key t key =
   match t.cur_deps with

@@ -5,11 +5,10 @@
    per-message framing and ARQ/ack overhead. Each part is a complete
    [Obj_msg] worth of content (envelope plus any eager extras); gossip
    digests can ride along as opportunistic piggyback. The frame is
-   checksummed (magic, 8-byte FNV-1a of the body, body) so wire damage
-   is detected at the frame boundary and handled by retransmission,
-   exactly like the binary payload codec. *)
+   checksummed ({!Bytes_io.seal}) so wire damage is detected at the
+   frame boundary and handled by retransmission, exactly like the binary
+   payload codec. *)
 
-module Fnv = Pti_util.Fnv
 module W = Bytes_io.Writer
 module R = Bytes_io.Reader
 
@@ -25,7 +24,6 @@ type t = {
 }
 
 let magic = "PTIF\x01"
-let header_len = String.length magic + 8
 
 let encode t =
   let w = W.create () in
@@ -42,28 +40,22 @@ let encode t =
       W.string w kind;
       W.string w body)
     t.piggyback;
-  let body = W.contents w in
-  magic ^ Fnv.hash_bytes body ^ body
+  Bytes_io.seal ~magic w
 
 let checked_body s =
-  if String.length s < header_len then Error "truncated batch frame"
-  else if not (String.equal (String.sub s 0 (String.length magic)) magic) then
-    Error "bad batch-frame magic"
-  else
-    let sum = String.sub s (String.length magic) 8 in
-    let body = String.sub s header_len (String.length s - header_len) in
-    if not (String.equal sum (Fnv.hash_bytes body)) then
-      Error "batch-frame checksum mismatch"
-    else Ok body
+  match Bytes_io.unseal ~magic s with
+  | Ok _ as ok -> ok
+  | Error Bytes_io.Truncated -> Error "truncated batch frame"
+  | Error Bytes_io.Bad_magic -> Error "bad batch-frame magic"
+  | Error Bytes_io.Bad_checksum -> Error "batch-frame checksum mismatch"
 
 let read_list = Framing.read_list
 
 let decode s =
   match checked_body s with
   | Error _ as e -> e
-  | Ok body -> (
+  | Ok r -> (
       try
-        let r = R.create body in
         let parts =
           read_list r (fun r ->
               let p_envelope = R.string r in

@@ -11,21 +11,15 @@ let pp_error ppf = function
 
 let magic = "PTIB\x02"
 
-(* Wire layout: magic, 8-byte FNV-1a checksum of the body, body. The
-   checksum distinguishes wire corruption ([Corrupt]) from structural
-   nonsense ([Malformed]) before any value is materialized. *)
-let header_len = String.length magic + 8
-
+(* Wire layout: {!Bytes_io.seal}. The checksum distinguishes wire
+   corruption ([Corrupt]) from structural nonsense ([Malformed]) before
+   any value is materialized. *)
 let checked_body s =
-  if String.length s < header_len then Error (Malformed "truncated header")
-  else if not (String.equal (String.sub s 0 (String.length magic)) magic) then
-    Error (Malformed "bad magic")
-  else
-    let sum = String.sub s (String.length magic) 8 in
-    let body = String.sub s header_len (String.length s - header_len) in
-    if not (String.equal sum (Pti_util.Fnv.hash_bytes body)) then
-      Error (Corrupt "checksum mismatch")
-    else Ok body
+  match Bytes_io.unseal ~magic s with
+  | Ok _ as ok -> ok
+  | Error Bytes_io.Truncated -> Error (Malformed "truncated header")
+  | Error Bytes_io.Bad_magic -> Error (Malformed "bad magic")
+  | Error Bytes_io.Bad_checksum -> Error (Corrupt "checksum mismatch")
 
 (* Value tags. *)
 let t_null = 0
@@ -117,8 +111,7 @@ let encode v =
     }
   in
   write st v;
-  let body = W.contents st.w in
-  magic ^ Pti_util.Fnv.hash_bytes body ^ body
+  Bytes_io.seal ~magic st.w
 
 type outern = {
   r : R.t;
@@ -199,10 +192,9 @@ let rec read ?resolve reg st =
 let decode ?resolve reg s =
   match checked_body s with
   | Error e -> Error e
-  | Ok body -> (
+  | Ok r -> (
       let st =
-        { r = R.create body; rev_names = Hashtbl.create 16;
-          objects = Hashtbl.create 16 }
+        { r; rev_names = Hashtbl.create 16; objects = Hashtbl.create 16 }
       in
       try
         let v = read ?resolve reg st in
@@ -213,11 +205,8 @@ let decode ?resolve reg s =
       | Unknown cls -> Error (Unknown_type cls))
 
 (* Walk the payload structure without materializing values. *)
-let class_names_body body =
-  let st =
-    { r = R.create body; rev_names = Hashtbl.create 16;
-      objects = Hashtbl.create 16 }
-  in
+let class_names_body r =
+  let st = { r; rev_names = Hashtbl.create 16; objects = Hashtbl.create 16 } in
   let found = ref [] in
   let rec skip () =
     let tag = R.u8 st.r in
@@ -256,4 +245,4 @@ let class_names_body body =
 let class_names s =
   match checked_body s with
   | Error e -> Error e
-  | Ok body -> class_names_body body
+  | Ok r -> class_names_body r

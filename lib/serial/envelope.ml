@@ -1,6 +1,7 @@
 open Pti_cts
 module Xml = Pti_xml.Xml
 module Guid = Pti_util.Guid
+module Fnv = Pti_util.Fnv
 module B64 = Pti_util.Base64
 
 type codec = Soap | Binary
@@ -35,39 +36,35 @@ let pp_error ppf = function
       Format.fprintf ppf "unknown type handles [%s]"
         (String.concat "; " (List.map string_of_int hs))
 
-(* Canonical content string the integrity digest is computed over: the
-   semantic fields of the envelope, not its XML rendering, so the check
-   is immune to whitespace/attribute-order differences between writer
-   and reader. Every field is length-prefixed (netstring style): the
-   binary payload is arbitrary bytes, so no in-band separator is safe —
-   a 0x00/0x01 scheme let two distinct envelopes share a digest. *)
-let canonical t =
-  let b = Buffer.create 256 in
-  let field s =
-    Buffer.add_string b (string_of_int (String.length s));
-    Buffer.add_char b ':';
-    Buffer.add_string b s
-  in
-  List.iter
-    (fun e ->
-      field e.te_name;
-      field (Guid.to_string e.te_guid);
-      field e.te_assembly;
-      field e.te_download_path;
-      (* Versioned entries fold the version into the digest; version 0
-         stays absent so pre-evolution envelopes keep their digests. *)
-      if e.te_version > 0 then field ("v" ^ string_of_int e.te_version))
-    t.env_types;
-  (match t.env_payload with
-  | Psoap x ->
-      field "soap";
-      field (Xml.to_string x)
-  | Pbinary p ->
-      field "binary";
-      field p);
-  Buffer.contents b
+(* The integrity digest covers the semantic fields of the envelope, not
+   its XML rendering, so the check is immune to whitespace/attribute-order
+   differences between writer and reader. Every field is length-prefixed
+   (netstring style: ["<len>:<bytes>"]): the binary payload is arbitrary
+   bytes, so no in-band separator is safe — a 0x00/0x01 scheme let two
+   distinct envelopes share a digest. Fields are folded straight into
+   the FNV-1a state; the canonical byte string is never built. *)
+let field h s =
+  let h = Fnv.hash64 ~init:h (string_of_int (String.length s)) in
+  Fnv.hash64 ~init:(Fnv.hash64 ~init:h ":") s
 
-let digest t = Pti_util.Fnv.hash_hex (canonical t)
+let fold_entry h e =
+  let h = field h e.te_name in
+  let h = field h (Guid.to_string e.te_guid) in
+  let h = field h e.te_assembly in
+  let h = field h e.te_download_path in
+  (* Versioned entries fold the version into the digest; version 0 stays
+     absent so pre-evolution envelopes keep their digests. *)
+  if e.te_version > 0 then field h ("v" ^ string_of_int e.te_version) else h
+
+let fold_payload h = function
+  | Psoap x -> field (field h "soap") (Xml.to_string x)
+  | Pbinary p -> field (field h "binary") p
+
+let digest64 t =
+  fold_payload (List.fold_left fold_entry Fnv.offset_basis t.env_types)
+    t.env_payload
+
+let digest t = Fnv.to_hex (digest64 t)
 
 (* Distinct class names reachable from a value, in first-visit order. *)
 let graph_classes v =
@@ -293,45 +290,14 @@ let size_bytes t = String.length (to_string t)
 
 type handle_form = [ `Plain | `Bind of int | `Ref of int ]
 
-let wire_canonical forms payload =
-  let b = Buffer.create 256 in
-  let field s =
-    Buffer.add_string b (string_of_int (String.length s));
-    Buffer.add_char b ':';
-    Buffer.add_string b s
-  in
-  let entry e =
-    field e.te_name;
-    field (Guid.to_string e.te_guid);
-    field e.te_assembly;
-    field e.te_download_path;
-    if e.te_version > 0 then field ("v" ^ string_of_int e.te_version)
-  in
-  List.iter
-    (fun (form, e) ->
-      match form with
-      | `Plain ->
-          field "P";
-          entry e
-      | `Bind h ->
-          field "B";
-          field (string_of_int h);
-          entry e
-      | `Ref h ->
-          field "R";
-          field (string_of_int h))
-    forms;
-  (match payload with
-  | Psoap x ->
-      field "soap";
-      field (Xml.to_string x)
-  | Pbinary p ->
-      field "binary";
-      field p);
-  Buffer.contents b
-
 let wire_digest forms payload =
-  Pti_util.Fnv.hash_hex (wire_canonical forms payload)
+  let slot h (form, e) =
+    match (form : handle_form) with
+    | `Plain -> fold_entry (field h "P") e
+    | `Bind n -> fold_entry (field (field h "B") (string_of_int n)) e
+    | `Ref n -> field (field h "R") (string_of_int n)
+  in
+  Fnv.to_hex (fold_payload (List.fold_left slot Fnv.offset_basis forms) payload)
 
 let to_xml_h t ~form =
   let forms = List.map (fun e -> ((form e : handle_form), e)) t.env_types in
@@ -493,12 +459,10 @@ module W = Bytes_io.Writer
 module R = Bytes_io.Reader
 
 let bin_magic = "PTIE\x01"
-let bin_header_len = String.length bin_magic + 8
-let digest_raw t = Pti_util.Fnv.hash_bytes (canonical t)
 
 let to_string_h t ~form =
   let w = W.create () in
-  W.raw w (digest_raw t);
+  W.int64_be w (digest64 t);
   W.varint w (List.length t.env_types);
   let entry e =
     W.string w e.te_name;
@@ -534,22 +498,20 @@ let to_string_h t ~form =
   let carried = List.rev !carried in
   if List.exists (fun e -> e.te_version > 0) carried then
     List.iter (fun e -> W.varint w e.te_version) carried;
-  let body = W.contents w in
-  bin_magic ^ Pti_util.Fnv.hash_bytes body ^ body
+  Bytes_io.seal ~magic:bin_magic w
 
 let is_binary_h s =
-  String.length s >= bin_header_len
-  && String.equal (String.sub s 0 (String.length bin_magic)) bin_magic
+  String.length s >= String.length bin_magic + 8
+  && Bytes_io.has_magic ~magic:bin_magic s
 
+(* Only called on [is_binary_h] frames: a failed unseal is a checksum
+   mismatch. *)
 let of_string_hb ~resolve s =
-  let sum = String.sub s (String.length bin_magic) 8 in
-  let body = String.sub s bin_header_len (String.length s - bin_header_len) in
-  if not (String.equal sum (Pti_util.Fnv.hash_bytes body)) then
-    Error (Corrupt "envelope wire checksum mismatch")
-  else
+  match Bytes_io.unseal ~magic:bin_magic s with
+  | Error _ -> Error (Corrupt "envelope wire checksum mismatch")
+  | Ok r ->
     try
-      let digest8 = String.sub body 0 8 in
-      let r = R.create (String.sub body 8 (String.length body - 8)) in
+      let digest8 = R.int64_be r in
       let n = R.varint r in
       if n < 0 || n > 10_000 then failwith "bad slot count";
       let entry () =
@@ -641,7 +603,7 @@ let of_string_hb ~resolve s =
             let t = { env_types; env_payload } in
             (* Semantic digest over the reconstruction: a wrong binding
                in the link table can never look like an intact envelope. *)
-            if String.equal digest8 (digest_raw t) then Ok (t, bindings)
+            if Int64.equal digest8 (digest64 t) then Ok (t, bindings)
             else Error (Corrupt "envelope digest mismatch")
       end
     with

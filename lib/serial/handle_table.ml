@@ -100,15 +100,13 @@ let fingerprint_receiver (r : receiver) =
 (* --------------------------- bind frames --------------------------- *)
 
 (* [Handle_bind] control messages carry renegotiated bindings in a
-   checksummed binary frame (magic, 8-byte FNV-1a of the body, body) so
-   the chaos harness's frame-integrity filter can vet them without
-   structural parsing. *)
+   checksummed binary frame ({!Bytes_io.seal}) so the chaos harness's
+   frame-integrity filter can vet them without structural parsing. *)
 
 module W = Bytes_io.Writer
 module R = Bytes_io.Reader
 
 let bind_magic = "PTIH\x01"
-let header_len = String.length bind_magic + 8
 
 let encode_bindings binds =
   let w = W.create () in
@@ -126,27 +124,20 @@ let encode_bindings binds =
      frames stay byte-identical (decoders probe with [at_end]). *)
   if List.exists (fun (_, e) -> e.Envelope.te_version > 0) binds then
     List.iter (fun (_, e) -> W.varint w e.Envelope.te_version) binds;
-  let body = W.contents w in
-  bind_magic ^ Fnv.hash_bytes body ^ body
+  Bytes_io.seal ~magic:bind_magic w
 
 let checked_body s =
-  if String.length s < header_len then Error "truncated bind frame"
-  else if
-    not (String.equal (String.sub s 0 (String.length bind_magic)) bind_magic)
-  then Error "bad bind-frame magic"
-  else
-    let sum = String.sub s (String.length bind_magic) 8 in
-    let body = String.sub s header_len (String.length s - header_len) in
-    if not (String.equal sum (Fnv.hash_bytes body)) then
-      Error "bind-frame checksum mismatch"
-    else Ok body
+  match Bytes_io.unseal ~magic:bind_magic s with
+  | Ok _ as ok -> ok
+  | Error Bytes_io.Truncated -> Error "truncated bind frame"
+  | Error Bytes_io.Bad_magic -> Error "bad bind-frame magic"
+  | Error Bytes_io.Bad_checksum -> Error "bind-frame checksum mismatch"
 
 let decode_bindings s =
   match checked_body s with
   | Error _ as e -> e
-  | Ok body -> (
+  | Ok r -> (
       try
-        let r = R.create body in
         let n = R.varint r in
         if n < 0 || n > 100_000 then Error "bad binding count"
         else begin

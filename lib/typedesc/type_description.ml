@@ -390,14 +390,13 @@ let size_bytes t = Xml.size_bytes (to_xml t)
 (* Negotiated per link as a wire-efficiency measure: a description in
    this form is a fraction of its XML rendering. XML stays the default
    and the interop fallback — a reply is self-describing by its magic.
-   Same integrity discipline as the other binary frames: magic, 8-byte
-   FNV-1a checksum of the body, body. *)
+   Same integrity discipline as the other binary frames:
+   {!Pti_serial.Bytes_io.seal}. *)
 
 module W = Pti_serial.Bytes_io.Writer
 module R = Pti_serial.Bytes_io.Reader
 
 let binary_magic = "PTID\x01"
-let binary_header_len = String.length binary_magic + 8
 
 let w_mods w (m : Meta.member_mods) =
   W.string w (Meta.visibility_to_string m.Meta.visibility);
@@ -449,28 +448,20 @@ let to_binary_string t =
       w_ty w m.md_return;
       w_mods w m.md_mods)
     t.ty_methods;
-  let body = W.contents w in
-  binary_magic ^ Pti_util.Fnv.hash_bytes body ^ body
+  Pti_serial.Bytes_io.seal ~magic:binary_magic w
 
-let is_binary s =
-  String.length s >= String.length binary_magic
-  && String.equal (String.sub s 0 (String.length binary_magic)) binary_magic
+let is_binary s = Pti_serial.Bytes_io.has_magic ~magic:binary_magic s
 
 exception Bad of string
 
 let of_binary_string s =
-  if String.length s < binary_header_len then Error "truncated binary tdesc"
-  else if not (is_binary s) then Error "bad binary tdesc magic"
-  else
-    let sum = String.sub s (String.length binary_magic) 8 in
-    let body =
-      String.sub s binary_header_len (String.length s - binary_header_len)
-    in
-    if not (String.equal sum (Pti_util.Fnv.hash_bytes body)) then
+  match Pti_serial.Bytes_io.unseal ~magic:binary_magic s with
+  | Error Pti_serial.Bytes_io.Truncated -> Error "truncated binary tdesc"
+  | Error Pti_serial.Bytes_io.Bad_magic -> Error "bad binary tdesc magic"
+  | Error Pti_serial.Bytes_io.Bad_checksum ->
       Error "corrupt type description: checksum mismatch"
-    else
+  | Ok r -> (
       try
-        let r = R.create body in
         let r_list f =
           let n = R.varint r in
           if n < 0 || n > 100_000 then raise (Bad "bad list length");
@@ -557,7 +548,7 @@ let of_binary_string s =
             }
       with
       | Bad m -> Error m
-      | R.Underflow m -> Error ("truncated binary tdesc: " ^ m)
+      | R.Underflow m -> Error ("truncated binary tdesc: " ^ m))
 
 (* Self-describing parse: binary by magic, XML otherwise. *)
 let of_wire_string s = if is_binary s then of_binary_string s else of_xml_string s

@@ -16,81 +16,60 @@ let make rng =
   in
   draw ()
 
-(* FNV-1a 64-bit, run twice with distinct offsets to fill 128 bits. *)
-let fnv1a offset s =
-  let prime = 0x100000001B3L in
-  let h = ref offset in
-  String.iter
-    (fun c ->
-      h := Int64.logxor !h (Int64.of_int (Char.code c));
-      h := Int64.mul !h prime)
-    s;
-  !h
-
+(* FNV-1a 64-bit, run twice with distinct offset bases to fill 128 bits. *)
 let of_name s =
-  let hi = fnv1a 0xCBF29CE484222325L s in
-  let lo = fnv1a 0x9AE16A3B2F90404FL s in
+  let hi = Fnv.hash64 ~init:Fnv.offset_basis s in
+  let lo = Fnv.hash64 ~init:0x9AE16A3B2F90404FL s in
   let g = { hi; lo } in
   if equal g nil then { hi = 1L; lo = 1L } else g
 
-let to_string { hi; lo } =
-  let b = Bytes.create 16 in
-  for i = 0 to 7 do
-    Bytes.set b i
-      (Char.chr
-         (Int64.to_int (Int64.shift_right_logical hi ((7 - i) * 8)) land 0xff))
+(* The canonical rendering is 32 hex digits with dashes at 8, 13, 18 and
+   23; digit [k] (0 = most significant nibble of [hi]) lands at [k] plus
+   the number of dashes before it. *)
+let digit_pos k =
+  k
+  + if k < 8 then 0
+    else if k < 12 then 1
+    else if k < 16 then 2
+    else if k < 20 then 3
+    else 4
+
+let hex_digits = "0123456789abcdef"
+
+let to_string g =
+  let b = Bytes.make 36 '-' in
+  for k = 0 to 31 do
+    let w = if k < 16 then g.hi else g.lo in
+    let nibble =
+      Int64.to_int (Int64.shift_right_logical w (60 - (4 * (k land 15))))
+      land 0xf
+    in
+    Bytes.unsafe_set b (digit_pos k) hex_digits.[nibble]
   done;
-  for i = 0 to 7 do
-    Bytes.set b (8 + i)
-      (Char.chr
-         (Int64.to_int (Int64.shift_right_logical lo ((7 - i) * 8)) land 0xff))
-  done;
-  let hex = Buffer.create 36 in
-  Bytes.iteri
-    (fun i c ->
-      if i = 4 || i = 6 || i = 8 || i = 10 then Buffer.add_char hex '-';
-      Buffer.add_string hex (Printf.sprintf "%02x" (Char.code c)))
-    b;
-  Buffer.contents hex
+  Bytes.unsafe_to_string b
 
 let hex_val c =
   match c with
-  | '0' .. '9' -> Some (Char.code c - Char.code '0')
-  | 'a' .. 'f' -> Some (Char.code c - Char.code 'a' + 10)
-  | 'A' .. 'F' -> Some (Char.code c - Char.code 'A' + 10)
-  | _ -> None
+  | '0' .. '9' -> Char.code c - Char.code '0'
+  | 'a' .. 'f' -> Char.code c - Char.code 'a' + 10
+  | 'A' .. 'F' -> Char.code c - Char.code 'A' + 10
+  | _ -> -1
 
 let of_string s =
-  if String.length s <> 36 then None
+  if
+    String.length s <> 36
+    || s.[8] <> '-' || s.[13] <> '-' || s.[18] <> '-' || s.[23] <> '-'
+  then None
   else begin
-    let ok = ref true in
-    let nibbles = Array.make 32 0 in
-    let k = ref 0 in
-    String.iteri
-      (fun i c ->
-        match i with
-        | 8 | 13 | 18 | 23 -> if c <> '-' then ok := false
-        | _ -> (
-            match hex_val c with
-            | Some v ->
-                if !k < 32 then begin
-                  nibbles.(!k) <- v;
-                  incr k
-                end
-                else ok := false
-            | None -> ok := false))
-      s;
-    if (not !ok) || !k <> 32 then None
-    else begin
-      let word off =
-        let v = ref 0L in
-        for i = off to off + 15 do
-          v := Int64.logor (Int64.shift_left !v 4) (Int64.of_int nibbles.(i))
-        done;
-        !v
-      in
-      Some { hi = word 0; lo = word 16 }
-    end
+    let ok = ref true and hi = ref 0L and lo = ref 0L in
+    for k = 0 to 31 do
+      let v = hex_val (String.unsafe_get s (digit_pos k)) in
+      if v < 0 then ok := false
+      else if k < 16 then
+        hi := Int64.logor (Int64.shift_left !hi 4) (Int64.of_int v)
+      else lo := Int64.logor (Int64.shift_left !lo 4) (Int64.of_int v)
+    done;
+    if !ok then Some { hi = !hi; lo = !lo } else None
   end
 
 let of_string_exn s =

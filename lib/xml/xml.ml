@@ -49,18 +49,25 @@ let rec path names x =
   | n :: rest -> ( match child n x with None -> None | Some c -> path rest c)
 
 let escape_with escape_quotes s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '<' -> Buffer.add_string b "&lt;"
-      | '>' -> Buffer.add_string b "&gt;"
-      | '&' -> Buffer.add_string b "&amp;"
-      | '"' when escape_quotes -> Buffer.add_string b "&quot;"
-      | '\'' when escape_quotes -> Buffer.add_string b "&apos;"
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+  let special = function
+    | '<' | '>' | '&' | '"' | '\'' -> true
+    | _ -> false
+  in
+  if not (String.exists special s) then s
+  else begin
+    let b = Buffer.create (String.length s + 8) in
+    String.iter
+      (fun c ->
+        match c with
+        | '<' -> Buffer.add_string b "&lt;"
+        | '>' -> Buffer.add_string b "&gt;"
+        | '&' -> Buffer.add_string b "&amp;"
+        | '"' when escape_quotes -> Buffer.add_string b "&quot;"
+        | '\'' when escape_quotes -> Buffer.add_string b "&apos;"
+        | c -> Buffer.add_char b c)
+      s;
+    Buffer.contents b
+  end
 
 let escape_text s = escape_with false s
 let escape_attr s = escape_with true s

@@ -47,6 +47,29 @@ let test_bytes_io_underflow () =
   | _ -> Alcotest.fail "expected underflow"
   | exception Bio.Reader.Underflow _ -> ()
 
+(* A varint that decodes to a negative length (nine 0xff-continued
+   bytes, 0x7f last: every bit of the int set) once slipped past the
+   [pos + n > length] bound and made [String.sub] raise
+   [Invalid_argument] out of every decoder, which catch only
+   [Underflow]/[Failure] — [Stream.dispatch]'s receive loop included. *)
+let negative_length = "\xff" ^ String.make 8 '\xff' ^ "\x7f"
+
+let test_bytes_io_negative_length () =
+  let r = Bio.Reader.create negative_length in
+  (match Bio.Reader.string r with
+  | _ -> Alcotest.fail "expected underflow"
+  | exception Bio.Reader.Underflow _ -> ());
+  match Pti_core.Message_wire.decode ("PTIM\x01\x00" ^ negative_length) with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "message with a negative length decoded"
+
+let test_batch_frame_negative_length () =
+  let w = Bio.Writer.create () in
+  Bio.Writer.raw w ("\x01" ^ negative_length);
+  match Pti_serial.Batch_frame.decode (Bio.seal ~magic:"PTIF\x01" w) with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "batch frame with a negative length decoded"
+
 (* ----------------------------- values ------------------------------ *)
 
 let sample_person r =
@@ -766,6 +789,119 @@ let test_bind_frame_roundtrip_and_corruption () =
     | Ok _ -> Alcotest.failf "flip at %d decoded" pos
   done
 
+(* ----------------------- golden wire bytes ------------------------- *)
+
+(* Pinned before digests were streamed into the FNV state and frames went
+   through [Bytes_io.seal]: every digest and every frame byte must stay
+   identical. Long frames are pinned by length and FNV-1a (itself pinned
+   to the published vectors in test_util). *)
+let hex s =
+  String.concat ""
+    (List.map (fun c -> Printf.sprintf "%02x" (Char.code c))
+       (List.of_seq (String.to_seq s)))
+
+let pin name ~len ~fnv s =
+  Alcotest.(check (pair int string)) name (len, fnv)
+    (String.length s, Pti_util.Fnv.hash_hex s)
+
+let handle_form () =
+  let stab = Ht.create_sender () in
+  fun e -> match Ht.obtain stab e with `Fresh h -> `Bind h | `Known h -> `Ref h
+
+let test_wire_golden () =
+  let r = reg () in
+  let v = sample_person r in
+  let envelope codec =
+    Env.make r ~codec ~download_path:(fun ~assembly -> assembly) v
+  in
+  let env = envelope Env.Binary in
+  Alcotest.(check string) "binary digest" "b7bbedaac7c956c8" (Env.digest env);
+  let form = handle_form () in
+  pin "PTIE bind" ~len:284 ~fnv:"37849a82ede46c58" (Env.to_string_h env ~form);
+  Alcotest.(check string) "PTIE ref"
+    ("5054494501455708a60a588c8fb7bbedaac7c956c8020201020201775054494202b69e"
+   ^ "54df0ab441d20600000c6e657773772e506572736f6e040103616765020e0204686f6d"
+   ^ "650601030d6e657773772e4164647265737302040463697479040b537072696e676669"
+   ^ "656c640506737472656574040931204d61696e20537406046e616d6504035365720706"
+   ^ "73706f75736500")
+    (hex (Env.to_string_h env ~form));
+  pin "xml plain" ~len:499 ~fnv:"ca6e6d1a09fb849c"
+    (Env.to_string_h_xml env ~form:(fun _ -> `Plain));
+  pin "xml ref" ~len:310 ~fnv:"4c867b962c97a2d8"
+    (Env.to_string_h_xml env ~form);
+  pin "classic" ~len:475 ~fnv:"38bbff9aeecd0fb3" (Env.to_string env);
+  let env = envelope Env.Soap in
+  Alcotest.(check string) "soap digest" "599a4945cb673e67" (Env.digest env);
+  let form = handle_form () in
+  pin "soap PTIE bind" ~len:501 ~fnv:"851aadf117ce3466"
+    (Env.to_string_h env ~form);
+  pin "soap xml ref" ~len:483 ~fnv:"df80cc64db7e46a4"
+    (Env.to_string_h_xml env ~form);
+  pin "soap classic" ~len:648 ~fnv:"86ba2df73ff0fbb1" (Env.to_string env);
+  pin "PTIB" ~len:119 ~fnv:"be42c86c6561125f" (Bin.encode v);
+  match Registry.find r Demo.news_person with
+  | None -> Alcotest.fail "news person not registered"
+  | Some cd ->
+      pin "PTID" ~len:523 ~fnv:"401816b598e8f2d5"
+        (Pti_typedesc.Type_description.to_binary_string
+           (Pti_typedesc.Type_description.of_class cd))
+
+let test_wire_golden_versioned () =
+  let r = reg () in
+  let env =
+    Env.make ~version_of:(fun ~assembly:_ -> 3) r ~codec:Env.Binary
+      ~download_path:(fun ~assembly -> assembly ^ "/v3")
+      (sample_person r)
+  in
+  Alcotest.(check string) "digest" "24ec82a5bb657eb2" (Env.digest env);
+  let form = handle_form () in
+  let bind = Env.to_string_h env ~form in
+  pin "PTIE bind" ~len:292 ~fnv:"68c1992c15f08a85" bind;
+  pin "xml ref" ~len:310 ~fnv:"ad620ed350476699"
+    (Env.to_string_h_xml env ~form);
+  pin "PTIH" ~len:161 ~fnv:"e3299d6a00d6ad81"
+    (Ht.encode_bindings (List.mapi (fun i e -> (i + 1, e)) env.Env.env_types));
+  pin "PTIF" ~len:317 ~fnv:"4f708f90f253df22"
+    (Bf.encode
+       {
+         Bf.parts =
+           [ { p_envelope = bind; p_tdescs = [ "d" ]; p_assemblies = [] } ];
+         piggyback = [ ("k", "v") ];
+       })
+
+(* Allocation gates. [unseal] verifies magic and checksum in place and
+   allocates only its reader (4 words) and the [Ok] around it (2). The
+   envelope ceilings are the codec's words per call on a warm link
+   (every type a handle ref) when the streamed digests landed — 279 to
+   encode, 285 to decode — plus 10 % headroom. *)
+let test_wire_alloc () =
+  let frame =
+    Bf.encode
+      {
+        Bf.parts =
+          [
+            { p_envelope = String.make 200 'e'; p_tdescs = [];
+              p_assemblies = [] };
+          ];
+        piggyback = [];
+      }
+  in
+  Alloc.check_ceiling "unseal" ~ceiling:6. (fun () ->
+      Bio.unseal ~magic:"PTIF\x01" frame);
+  let r = reg () in
+  let env = mk_env r (sample_person r) in
+  let form = handle_form () in
+  let rtab = Ht.create_receiver ~capacity:8 in
+  let resolve h = Ht.resolve rtab h in
+  (match Env.of_string_h ~resolve (Env.to_string_h env ~form) with
+  | Ok (_, binds) -> List.iter (fun (h, e) -> Ht.install rtab h e) binds
+  | Error e -> Alcotest.failf "bind: %a" Env.pp_error e);
+  let warm = Env.to_string_h env ~form in
+  Alloc.check_ceiling "Envelope.to_string_h, warm link" ~ceiling:307. (fun () ->
+      Env.to_string_h env ~form);
+  Alloc.check_ceiling "Envelope.of_string_h, warm link" ~ceiling:314. (fun () ->
+      Env.of_string_h ~resolve warm)
+
 (* ----------------------------- framing ----------------------------- *)
 
 module Framing = Pti_serial.Framing
@@ -877,6 +1013,10 @@ let () =
         [
           Alcotest.test_case "roundtrip" `Quick test_bytes_io_roundtrip;
           Alcotest.test_case "underflow" `Quick test_bytes_io_underflow;
+          Alcotest.test_case "negative length rejected" `Quick
+            test_bytes_io_negative_length;
+          Alcotest.test_case "batch frame with a negative length" `Quick
+            test_batch_frame_negative_length;
         ] );
       ( "codecs",
         [
@@ -933,6 +1073,13 @@ let () =
           Alcotest.test_case "bind frame roundtrip + corruption" `Quick
             test_bind_frame_roundtrip_and_corruption;
           QCheck_alcotest.to_alcotest prop_batch_frame_flip_always_detected;
+        ] );
+      ( "golden",
+        [
+          Alcotest.test_case "wire bytes and digests" `Quick test_wire_golden;
+          Alcotest.test_case "versioned wire bytes and digests" `Quick
+            test_wire_golden_versioned;
+          Alcotest.test_case "allocation gate" `Quick test_wire_alloc;
         ] );
       ( "framing",
         [

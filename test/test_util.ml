@@ -6,6 +6,7 @@ module B64 = Pti_util.Base64
 module Pq = Pti_util.Pqueue
 module S = Pti_util.Strutil
 module Sm = Pti_util.Splitmix
+module Fnv = Pti_util.Fnv
 
 (* ------------------------------- levenshtein ---------------------- *)
 
@@ -106,6 +107,75 @@ let test_guid_malformed () =
 let test_guid_nil () =
   Alcotest.(check string) "nil rendering"
     "00000000-0000-0000-0000-000000000000" (Guid.to_string Guid.nil)
+
+(* Pinned before the FNV rewrite: [of_name] now runs the shared
+   [Fnv.hash64] with its two offset bases instead of a private copy. *)
+let test_guid_of_name_pinned () =
+  Alcotest.(check string) "demo.Person" "67060154-9d9f-838d-dd11-d32c17f3c8a3"
+    (Guid.to_string (Guid.of_name "demo.Person"))
+
+(* -------------------------------- fnv ----------------------------- *)
+
+let test_fnv_vectors () =
+  (* Published FNV-1a 64 test vectors. *)
+  List.iter
+    (fun (input, hex) -> Alcotest.(check string) input hex (Fnv.hash_hex input))
+    [
+      ("", "cbf29ce484222325"); ("a", "af63dc4c8601ec8c");
+      ("foobar", "85944171f73967e8");
+    ]
+
+let prop_fnv_range =
+  QCheck.Test.make ~count:300 ~name:"range form = hashing the substring"
+    QCheck.(triple string small_nat small_nat)
+    (fun (s, a, b) ->
+      let n = String.length s in
+      let pos = if n = 0 then 0 else a mod (n + 1) in
+      let len = if n - pos = 0 then 0 else b mod (n - pos + 1) in
+      Int64.equal (Fnv.hash64 ~pos ~len s) (Fnv.hash64 (String.sub s pos len))
+      && Int64.equal (Fnv.hash64 ~pos s)
+           (Fnv.hash64 (String.sub s pos (n - pos))))
+
+let prop_fnv_chain =
+  QCheck.Test.make ~count:300 ~name:"chained init = hashing the concatenation"
+    QCheck.(pair string string)
+    (fun (a, b) ->
+      Int64.equal (Fnv.hash64 ~init:(Fnv.hash64 a) b) (Fnv.hash64 (a ^ b)))
+
+let prop_sum_matches =
+  QCheck.Test.make ~count:300 ~name:"sum_matches agrees with hash64"
+    QCheck.(pair string (int_range 0 255))
+    (fun (body, x) ->
+      let len = String.length body in
+      let frame = Bytes.create (8 + len) in
+      Bytes.set_int64_be frame 0 (Fnv.hash64 body);
+      Bytes.blit_string body 0 frame 8 len;
+      let intact = Bytes.to_string frame in
+      Bytes.set frame 0 (Char.chr (Char.code intact.[0] lxor x));
+      Fnv.sum_matches intact ~at:0 ~pos:8 ~len
+      && Fnv.sum_matches (Bytes.to_string frame) ~at:0 ~pos:8 ~len = (x = 0))
+
+let test_fnv_range_checked () =
+  let raises f =
+    match f () with _ -> false | exception Invalid_argument _ -> true
+  in
+  Alcotest.(check bool) "negative pos" true
+    (raises (fun () -> Fnv.hash64 ~pos:(-1) "abc"));
+  Alcotest.(check bool) "past end" true
+    (raises (fun () -> Fnv.hash64 ~pos:2 ~len:2 "abc"));
+  Alcotest.(check bool) "empty range at end" false
+    (raises (fun () -> Fnv.hash64 ~pos:3 "abc"))
+
+(* Allocation gates: hashing keeps its accumulator unboxed, so the cost
+   is the boxed result whatever the input length; a boxed accumulator
+   costs 3 words per byte. *)
+let test_fnv_alloc () =
+  let s = String.make 65536 'x' in
+  Alloc.check_ceiling "Fnv.hash64 over 64 KiB" ~ceiling:8. (fun () ->
+      Fnv.hash64 s);
+  let g = Guid.of_name "demo.Person" in
+  Alloc.check_ceiling "Guid.to_string" ~ceiling:8. (fun () ->
+      Guid.to_string g)
 
 (* ------------------------------- base64 --------------------------- *)
 
@@ -330,6 +400,17 @@ let () =
             test_guid_of_name_deterministic;
           Alcotest.test_case "malformed" `Quick test_guid_malformed;
           Alcotest.test_case "nil" `Quick test_guid_nil;
+          Alcotest.test_case "of_name pinned" `Quick test_guid_of_name_pinned;
+        ] );
+      ( "fnv",
+        [
+          Alcotest.test_case "published vectors" `Quick test_fnv_vectors;
+          Alcotest.test_case "range bounds checked" `Quick
+            test_fnv_range_checked;
+          Alcotest.test_case "allocation gate" `Quick test_fnv_alloc;
+          QCheck_alcotest.to_alcotest prop_fnv_range;
+          QCheck_alcotest.to_alcotest prop_fnv_chain;
+          QCheck_alcotest.to_alcotest prop_sum_matches;
         ] );
       ( "base64",
         [
