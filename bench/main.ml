@@ -29,6 +29,7 @@ module Bin = Pti_serial.Bin_ser
 module Soap = Pti_serial.Soap_ser
 module Peer = Pti_core.Peer
 module Net = Pti_net.Net
+module Transport = Pti_transport.Transport
 module Stats = Pti_net.Stats
 module Demo = Pti_demo.Demo_types
 module Workload = Pti_demo.Workload
@@ -331,10 +332,10 @@ let receiver_cache_rates receiver =
 let run_protocol ?codec ?drop_rate ?reliability ?checker_cache_capacity ~mode
     ~objects ~distinct ~nonconf () =
   let net = Net.create ?drop_rate ?reliability ~seed:17L () in
-  let sender = Peer.create ?codec ~mode ~net "sender" in
-  let receiver =
-    Peer.create ?codec ~mode ~net ?checker_cache_capacity "receiver"
-  in
+  let transport = Transport.of_net net in
+  let sender = Peer.create ?codec ~mode ~transport "sender" in
+  let shared = Peer.create_shared ?checker_cache_capacity () in
+  let receiver = Peer.create ?codec ~mode ~transport ~shared "receiver" in
   Peer.install_assembly receiver (Demo.news_assembly ());
   Peer.register_interest receiver ~interest:Demo.news_person
     (fun ~from:_ _ -> ());
@@ -355,9 +356,9 @@ let run_protocol ?codec ?drop_rate ?reliability ?checker_cache_capacity ~mode
         ~age:n
     in
     Peer.send_value sender ~dst:"receiver" v;
-    Net.run net
+    Transport.run transport
   done;
-  let s = Net.stats net in
+  let s = Transport.stats transport in
   let delivered, rejected =
     List.fold_left
       (fun (d, r) ev ->
@@ -375,7 +376,7 @@ let run_protocol ?codec ?drop_rate ?reliability ?checker_cache_capacity ~mode
       Stats.bytes s Stats.Tdesc_request + Stats.bytes s Stats.Tdesc_reply;
     o_asm = Stats.bytes s Stats.Asm_request + Stats.bytes s Stats.Asm_reply;
     o_total = Stats.total_bytes s;
-    o_time = Net.now_ms net;
+    o_time = Transport.now_ms transport;
     o_delivered = delivered;
     o_rejected = rejected;
     o_reuse = reuse;
@@ -454,46 +455,40 @@ let rec e5 () =
     "total B" "sim ms*" "p95 ms**" "deliv" "lost";
   List.iter
     (fun drop_rate ->
-      let net_probe = ref (0, 0) in
-      let o =
-        let net = Net.create ~drop_rate ~reliability:Net.default_reliability
-            ~seed:17L () in
-        let sender = Peer.create ~net "sender" in
-        let receiver = Peer.create ~net "receiver" in
-        Peer.install_assembly receiver (Demo.news_assembly ());
-        Peer.register_interest receiver ~interest:Demo.news_person
-          (fun ~from:_ _ -> ());
-        for i = 0 to 9 do
-          Peer.publish_assembly sender
-            (Workload.family ~index:i ~flavor:Workload.Conformant)
-        done;
-        for n = 0 to objects - 1 do
-          let index = n mod 10 in
-          let v =
-            Workload.make_person (Peer.registry sender) ~index
-              ~flavor:Workload.Conformant
-              ~name:(Printf.sprintf "p%d" n) ~age:n
-          in
-          Peer.send_value sender ~dst:"receiver" v;
-          Net.run net
-        done;
-        net_probe := (Net.retransmissions net, Net.lost_messages net);
-        let delivered =
-          List.length
-            (List.filter
-               (function Peer.Delivered _ -> true | _ -> false)
-               (Peer.events receiver))
+      let transport = Transport.of_net (Net.create ~drop_rate
+          ~reliability:Net.default_reliability ~seed:17L ()) in
+      let sender = Peer.create ~transport "sender" in
+      let receiver = Peer.create ~transport "receiver" in
+      Peer.install_assembly receiver (Demo.news_assembly ());
+      Peer.register_interest receiver ~interest:Demo.news_person
+        (fun ~from:_ _ -> ());
+      for i = 0 to 9 do
+        Peer.publish_assembly sender
+          (Workload.family ~index:i ~flavor:Workload.Conformant)
+      done;
+      for n = 0 to objects - 1 do
+        let index = n mod 10 in
+        let v =
+          Workload.make_person (Peer.registry sender) ~index
+            ~flavor:Workload.Conformant
+            ~name:(Printf.sprintf "p%d" n) ~age:n
         in
-        let p95 =
-          Option.value ~default:0.
-            (Stats.latency_percentile (Net.stats net) Stats.Object_msg 0.95)
-        in
-        (Stats.total_bytes (Net.stats net), Net.now_ms net, p95, delivered)
+        Peer.send_value sender ~dst:"receiver" v;
+        Transport.run transport
+      done;
+      let deliv =
+        List.length
+          (List.filter
+             (function Peer.Delivered _ -> true | _ -> false)
+             (Peer.events receiver))
       in
-      let total, time, p95, deliv = o in
-      let retrans, lost = !net_probe in
+      let s = Transport.stats transport in
       Printf.printf "  %7.0f%% %10d %12d %10.1f %10.1f %10d %10d\n"
-        (100. *. drop_rate) retrans total time p95 deliv lost)
+        (100. *. drop_rate) (Transport.retransmissions transport)
+        (Stats.total_bytes s) (Transport.now_ms transport)
+        (Option.value ~default:0.
+           (Stats.latency_percentile s Stats.Object_msg 0.95))
+        deliv (Transport.lost_messages transport))
     [ 0.0; 0.05; 0.1; 0.25 ];
   print_endline
     "  (*) simulated time runs until the last ARQ timer expires, so it\n\
@@ -513,9 +508,10 @@ let rec e5 () =
    interleaving. Shrinking the cache capacity below K re-introduces misses
    as capacity evictions. *)
 and run_ramp ~rounds ~checker_cache_capacity () =
-  let net = Net.create ~seed:23L () in
-  let sender = Peer.create ~net "sender" in
-  let receiver = Peer.create ~net ~checker_cache_capacity "receiver" in
+  let transport = Transport.of_net (Net.create ~seed:23L ()) in
+  let sender = Peer.create ~transport "sender" in
+  let shared = Peer.create_shared ~checker_cache_capacity () in
+  let receiver = Peer.create ~transport ~shared "receiver" in
   Peer.install_assembly receiver (Demo.news_assembly ());
   Peer.register_interest receiver ~interest:Demo.news_person
     (fun ~from:_ _ -> ());
@@ -527,7 +523,7 @@ and run_ramp ~rounds ~checker_cache_capacity () =
         ~age:n
     in
     Peer.send_value sender ~dst:"receiver" v;
-    Net.run net
+    Transport.run transport
   in
   let n = ref 0 in
   for i = 0 to rounds - 1 do
@@ -875,11 +871,11 @@ type cluster_outcome = {
    path. *)
 let run_cluster ~mode ~peers ~factor ~rounds ~objects ~distinct ~via_relay
     ~crash_origin () =
-  let net = Net.create ~seed:17L () in
+  let transport = Transport.of_net (Net.create ~seed:17L ()) in
   let addrs = List.init peers (fun i -> Printf.sprintf "c%d" (i + 1)) in
   let c =
     Cluster.create ~mode ~factor ~request_timeout_ms:500.
-      ~probe_timeout_ms:250. ~net addrs
+      ~probe_timeout_ms:250. ~transport addrs
   in
   let origin = List.hd addrs in
   let origin_node = Cluster.node c origin in
@@ -937,7 +933,7 @@ let run_cluster ~mode ~peers ~factor ~rounds ~objects ~distinct ~via_relay
     List.fold_left (fun acc n -> acc + Node.digest_bytes n) 0 (Cluster.nodes c)
   in
   let td_known = List.length (Peer.known_descriptions receiver_peer) in
-  Stats.reset (Net.stats net);
+  Stats.reset (Transport.stats transport);
   for n = 0 to objects - 1 do
     let index = n mod distinct in
     let v =
@@ -947,9 +943,9 @@ let run_cluster ~mode ~peers ~factor ~rounds ~objects ~distinct ~via_relay
         ~age:n
     in
     Peer.send_value sender_peer ~dst:receiver v;
-    Net.run net
+    Transport.run transport
   done;
-  let s = Net.stats net in
+  let s = Transport.stats transport in
   let load_failed =
     List.length
       (List.filter
@@ -1081,14 +1077,15 @@ let e10_run ~arq ~cluster ~loss_p ~corrupt_p ~objects ~seed =
   in
   let net = Net.create ~jitter_ms:2.0 ?reliability ~seed:net_seed () in
   let sim = Net.sim net in
+  let transport = Transport.of_net net in
   let hosts = if cluster then [ "n0"; "n1"; "n2"; "n3" ] else [ "a"; "b" ] in
   let horizon = 10. +. (60. *. float_of_int objects) +. 100. in
   let cl, sender, receiver, peers =
     if cluster then begin
       let cl =
         Cluster.create ~factor:2 ~seed:cluster_seed ~request_timeout_ms:800.
-          ~fetch_retries:3 ~fetch_backoff_ms:150. ~probe_timeout_ms:300. ~net
-          hosts
+          ~fetch_retries:3 ~fetch_backoff_ms:150. ~probe_timeout_ms:300.
+          ~transport hosts
       in
       (Some cl, Cluster.peer cl "n0", Cluster.peer cl "n3",
        List.map (Cluster.peer cl) hosts)
@@ -1096,7 +1093,7 @@ let e10_run ~arq ~cluster ~loss_p ~corrupt_p ~objects ~seed =
     else begin
       let mk a =
         Peer.create ~request_timeout_ms:800. ~fetch_retries:3
-          ~fetch_backoff_ms:150. ~net a
+          ~fetch_backoff_ms:150. ~transport a
       in
       let s = mk "a" in
       let r = mk "b" in
@@ -1145,14 +1142,14 @@ let e10_run ~arq ~cluster ~loss_p ~corrupt_p ~objects ~seed =
           w_sel = Fault_plan.Any; w_act = Fault_plan.Corrupt corrupt_p } ]
     else []
   in
-  Net.set_fault_hooks net
+  Transport.set_fault_hooks transport
     (Some
        (Fault_plan.hooks { Fault_plan.windows }
           ~rng:(Splitmix.create hook_seed)
           ~corrupt:Corruptor.corrupt_message));
   if corrupt_p > 0. && arq then
-    Net.set_integrity net (Some Corruptor.frame_intact);
-  Net.run net;
+    Transport.set_integrity transport (Some Corruptor.frame_intact);
+  Transport.run transport;
   let delivered =
     List.length
       (List.filter
@@ -1161,11 +1158,11 @@ let e10_run ~arq ~cluster ~loss_p ~corrupt_p ~objects ~seed =
   in
   {
     f_delivered = delivered;
-    f_bytes = Stats.total_bytes (Net.stats net);
-    f_retx = Net.retransmissions net;
+    f_bytes = Stats.total_bytes (Transport.stats transport);
+    f_retx = Transport.retransmissions transport;
     f_corrupt_rejects =
       List.fold_left (fun acc p -> acc + Peer.corrupt_rejects p) 0 peers;
-    f_integrity_drops = Net.integrity_drops net;
+    f_integrity_drops = Transport.integrity_drops transport;
   }
 
 let e10 () =
@@ -1252,7 +1249,8 @@ type e11_out = {
 let e11_run ?batch_bytes ~handles ~tdesc_binary ~group ~k ~seed () =
   let net = Net.create ~seed () in
   let sim = Net.sim net in
-  let mk a = Peer.create ~handles ?batch_bytes ~tdesc_binary ~net a in
+  let transport = Transport.of_net net in
+  let mk a = Peer.create ~handles ?batch_bytes ~tdesc_binary ~transport a in
   let sender = mk "a" in
   let receiver = mk "b" in
   Peer.publish_assembly sender (Demo.social_assembly ());
@@ -1270,8 +1268,8 @@ let e11_run ?batch_bytes ~handles ~tdesc_binary ~group ~k ~seed () =
         in
         Peer.send_value sender ~dst:"b" v)
   done;
-  Net.run net;
-  let stats = Net.stats net in
+  Transport.run transport;
+  let stats = Transport.stats transport in
   {
     w_delivered = !delivered;
     w_obj_bytes = Stats.bytes stats Stats.Object_msg;
@@ -1443,7 +1441,6 @@ let e12 () =
 (* E13: transport backends -- sim vs unix sockets vs TCP                *)
 (* ------------------------------------------------------------------ *)
 
-module Transport = Pti_transport.Transport
 module Message_wire = Pti_core.Message_wire
 
 type e13_out = {
@@ -1628,8 +1625,8 @@ let e16_shards = 4
 let e16_build ~m ~spokes ~sends ~families =
   let sh = Peer.create_shared ~shards:e16_shards () in
   (* Code loading is single-domain; everything is preloaded here. *)
-  let boot_net : Pti_core.Message.t Net.t = Net.create ~seed:1L () in
-  let boot = Peer.create ~net:boot_net ~shared:sh "boot" in
+  let boot_net = Transport.of_net (Net.create ~seed:1L ()) in
+  let boot = Peer.create ~transport:boot_net ~shared:sh "boot" in
   Peer.install_assembly boot (Workload.interest_assembly ());
   for f = 0 to families - 1 do
     Peer.install_assembly boot
@@ -1651,16 +1648,16 @@ let e16_build ~m ~spokes ~sends ~families =
   let slots =
     Array.mapi
       (fun k addr ->
-        let net : Pti_core.Message.t Net.t =
-          Net.create ~seed:(Int64.of_int (100 + k)) ()
+        let transport =
+          Transport.of_net (Net.create ~seed:(Int64.of_int (100 + k)) ())
         in
-        let hub = Peer.create ~net ~metrics:m ~shared:sh addr in
+        let hub = Peer.create ~transport ~metrics:m ~shared:sh addr in
         let delivered = ref 0 in
         Peer.register_interest hub ~interest:Workload.interest_person
           (fun ~from:_ _ -> incr delivered);
         for s = 0 to per_slot - 1 do
           let f = s mod families in
-          let p = Peer.create ~net (Printf.sprintf "%s.spoke%d" addr s) in
+          let p = Peer.create ~transport (Printf.sprintf "%s.spoke%d" addr s) in
           Peer.publish_assembly p
             (Workload.family ~index:f ~flavor:Workload.Conformant);
           for i = 1 to sends do
@@ -1673,7 +1670,7 @@ let e16_build ~m ~spokes ~sends ~families =
             Peer.send_value p ~dst:addr v
           done
         done;
-        (net, delivered))
+        (transport, delivered))
       addrs
   in
   (sh, slots, per_slot * e16_shards * sends)
@@ -1685,9 +1682,9 @@ let e16_run_domains ~domains slots =
         Domain.spawn (fun () ->
             let total = ref 0 in
             Array.iteri
-              (fun k (net, delivered) ->
+              (fun k (transport, delivered) ->
                 if k mod domains = d then begin
-                  Net.run net;
+                  Transport.run transport;
                   total := !total + !delivered
                 end)
               slots;

@@ -379,15 +379,14 @@ let lint_cmd =
 let run_workload ~mode ~objects ~distinct ~nonconf ~metrics
     ?(handles = false) ?batch_bytes ?(tdesc_binary = false)
     ?tdesc_cache_capacity ?checker_cache_capacity () =
-  let net = Net.create ~seed:17L ~metrics () in
-  let sender =
-    Peer.create ~mode ~net ~metrics ~handles ?batch_bytes ~tdesc_binary
-      ?tdesc_cache_capacity ?checker_cache_capacity "sender"
+  let transport = Transport.of_net (Net.create ~seed:17L ~metrics ()) in
+  let peer addr =
+    Peer.create ~mode ~transport ~metrics ~handles ?batch_bytes ~tdesc_binary
+      ~shared:(Peer.create_shared ?tdesc_cache_capacity ?checker_cache_capacity ())
+      addr
   in
-  let receiver =
-    Peer.create ~mode ~net ~metrics ~handles ?batch_bytes ~tdesc_binary
-      ?tdesc_cache_capacity ?checker_cache_capacity "receiver"
-  in
+  let sender = peer "sender" in
+  let receiver = peer "receiver" in
   Peer.install_assembly receiver (Demo.news_assembly ());
   Peer.register_interest receiver ~interest:Demo.news_person
     (fun ~from:_ _ -> ());
@@ -407,7 +406,7 @@ let run_workload ~mode ~objects ~distinct ~nonconf ~metrics
         ~name:(Printf.sprintf "p%d" n) ~age:n
     in
     Peer.send_value sender ~dst:"receiver" v;
-    Net.run net
+    Transport.run transport
   done;
   let delivered, rejected =
     List.fold_left
@@ -419,7 +418,7 @@ let run_workload ~mode ~objects ~distinct ~nonconf ~metrics
         | Peer.Corrupt_rejected _ -> (d, r))
       (0, 0) (Peer.events receiver)
   in
-  (net, sender, delivered, rejected)
+  (transport, sender, delivered, rejected)
 
 (* -------------------- protocol over real sockets ------------------- *)
 
@@ -766,7 +765,7 @@ let protocol_cmd =
           `Error (false, "--listen/--connect need --transport unix or tcp")
       | Transport.Sim ->
           let metrics = Metrics.create () in
-          let net, sender, delivered, rejected =
+          let transport, sender, delivered, rejected =
             run_workload ~mode ~objects ~distinct ~nonconf ~metrics ~handles
               ?batch_bytes ~tdesc_binary ()
           in
@@ -774,8 +773,9 @@ let protocol_cmd =
             "mode=%s objects=%d distinct=%d nonconf=%d@.delivered=%d \
              rejected=%d completion=%.1f ms@.%a@."
             (if eager then "eager" else "optimistic")
-            objects distinct nonconf delivered rejected (Net.now_ms net)
-            Stats.pp (Net.stats net);
+            objects distinct nonconf delivered rejected
+            (Transport.now_ms transport)
+            Stats.pp (Transport.stats transport);
           if handles then
             Format.printf "handles: hits=%d misses=%d renegotiations=%d@."
               (Peer.handle_hits sender)
@@ -847,7 +847,7 @@ let stats_cmd =
         else begin
           let mode = if eager then Peer.Eager else Peer.Optimistic in
           let metrics = Metrics.create () in
-          let _net, _sender, _delivered, _rejected =
+          let _transport, _sender, _delivered, _rejected =
             run_workload ~mode ~objects ~distinct ~nonconf ~metrics
               ?tdesc_cache_capacity:tdesc_cache
               ?checker_cache_capacity:checker_cache ()
@@ -1509,8 +1509,7 @@ let publish_cmd =
   let run cas revisions =
     if revisions < 1 then `Error (false, "--revisions must be at least 1")
     else begin
-      let net = Net.create () in
-      let peer = Peer.create ~net "repo" in
+      let peer = Peer.create ~transport:(Transport.of_net (Net.create ())) "repo" in
       let repo = Peer.repository peer in
       let v1 = Workload.family ~index:0 ~flavor:Workload.Conformant in
       let name = v1.Assembly.asm_name in
@@ -1599,9 +1598,9 @@ let publish_cmd =
 
 let demo_cmd =
   let run () =
-    let net = Net.create () in
-    let sender = Peer.create ~net "sender" in
-    let receiver = Peer.create ~net "receiver" in
+    let transport = Transport.of_net (Net.create ()) in
+    let sender = Peer.create ~transport "sender" in
+    let receiver = Peer.create ~transport "receiver" in
     Peer.publish_assembly sender (Demo.social_assembly ());
     Peer.publish_assembly receiver (Demo.news_assembly ());
     Peer.register_interest receiver ~interest:Demo.news_person
@@ -1614,8 +1613,8 @@ let demo_cmd =
       Demo.make_social_person (Peer.registry sender) ~name:"Alice" ~age:30
     in
     Peer.send_value sender ~dst:"receiver" alice;
-    Net.run net;
-    Format.printf "%a@." Stats.pp (Net.stats net);
+    Transport.run transport;
+    Format.printf "%a@." Stats.pp (Transport.stats transport);
     `Ok 0
   in
   Cmd.v

@@ -9,7 +9,7 @@
 
 open Pti_cts
 module Peer = Pti_core.Peer
-module Net = Pti_net.Net
+module Transport = Pti_transport.Transport
 module Bl = Pti_bl.Borrow_lend
 module Demo = Pti_demo.Demo_types
 
@@ -17,10 +17,10 @@ let int_of v = match v with Value.Vint i -> i | _ -> assert false
 let str v = match v with Value.Vstring s -> s | _ -> assert false
 
 let () =
-  let net = Net.create ~default_latency_ms:3.0 () in
-  let lab = Peer.create ~net "lab" in
+  let transport = Transport.of_net (Pti_net.Net.create ~default_latency_ms:3.0 ()) in
+  let lab = Peer.create ~transport "lab" in
   Peer.publish_assembly lab (Demo.printer_assembly ());
-  let laptop = Peer.create ~net "laptop" in
+  let laptop = Peer.create ~transport "laptop" in
   Peer.publish_assembly laptop (Demo.printsvc_assembly ());
 
   let market = Bl.create () in
@@ -46,4 +46,5 @@ let () =
       Printf.printf "lab-side counter: %d\n"
         (int_of (Eval.call (Peer.registry lab) printer "getPrinted" []));
       Bl.return_resource market lease;
-      Printf.printf "lease returned; simulated time %.2f ms\n" (Net.now_ms net)
+      Printf.printf "lease returned; simulated time %.2f ms\n"
+        (Transport.now_ms transport)

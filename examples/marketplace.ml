@@ -15,7 +15,7 @@
 
 open Pti_cts
 module Peer = Pti_core.Peer
-module Net = Pti_net.Net
+module Transport = Pti_transport.Transport
 module Stats = Pti_net.Stats
 module Tps = Pti_tps.Tps
 module Bl = Pti_bl.Borrow_lend
@@ -25,20 +25,20 @@ let str v = match v with Value.Vstring s -> s | _ -> assert false
 let int_of v = match v with Value.Vint i -> i | _ -> assert false
 
 let () =
-  let net =
-    Net.create ~default_latency_ms:5. ~drop_rate:0.10
-      ~reliability:Net.default_reliability ~seed:7L ()
+  let transport =
+    Transport.of_net (Pti_net.Net.create ~default_latency_ms:5. ~drop_rate:0.10
+      ~reliability:Pti_net.Net.default_reliability ~seed:7L ())
   in
 
   (* Organisations. *)
-  let agency = Peer.create ~net "agency" in
+  let agency = Peer.create ~transport "agency" in
   Peer.publish_assembly agency (Demo.social_assembly ());
-  let newsroom = Peer.create ~net "newsroom" in
+  let newsroom = Peer.create ~transport "newsroom" in
   Peer.publish_assembly newsroom (Demo.news_assembly ());
   Peer.publish_assembly newsroom (Demo.printsvc_assembly ());
-  let lab = Peer.create ~net "lab" in
+  let lab = Peer.create ~transport "lab" in
   Peer.publish_assembly lab (Demo.printer_assembly ());
-  let telemetry = Peer.create ~net "telemetry" in
+  let telemetry = Peer.create ~transport "telemetry" in
   Peer.publish_assembly telemetry (Demo.printsvc_assembly ());
 
   (* The lab lends its printer. *)
@@ -56,7 +56,7 @@ let () =
   in
 
   (* ...and prints every story it receives from the agency. *)
-  let domain = Tps.create ~net ~broker:"broker" () in
+  let domain = Tps.create ~transport ~broker:"broker" () in
   let printed = ref [] in
   let _newsroom_sub =
     Tps.subscribe domain newsroom ~interest:Demo.news_event
@@ -96,7 +96,8 @@ let () =
     (List.length (Tps.deliveries telemetry_sub));
   Printf.printf
     "\nWAN conditions: %d attempts dropped, %d retransmissions, %d lost\n"
-    (Net.dropped_messages net)
-    (Net.retransmissions net)
-    (Net.lost_messages net);
-  Printf.printf "wire traffic:\n%s\n" (Format.asprintf "%a" Stats.pp (Net.stats net))
+    (Transport.dropped_messages transport)
+    (Transport.retransmissions transport)
+    (Transport.lost_messages transport);
+  let stats = Format.asprintf "%a" Stats.pp (Transport.stats transport) in
+  Printf.printf "wire traffic:\n%s\n" stats

@@ -13,12 +13,12 @@
 
 open Pti_cts
 module Peer = Pti_core.Peer
-module Net = Pti_net.Net
+module Transport = Pti_transport.Transport
 module Config = Pti_conformance.Config
 module Demo = Pti_demo.Demo_types
 
-let send_person net sender_name assembly make =
-  let sender = Peer.create ~net sender_name in
+let send_person transport sender_name assembly make =
+  let sender = Peer.create ~transport sender_name in
   Peer.publish_assembly sender assembly;
   let v = make (Peer.registry sender) in
   (sender, v)
@@ -30,10 +30,10 @@ let report peer =
   Peer.clear_events peer
 
 let () =
-  let net = Net.create () in
+  let transport = Transport.of_net (Pti_net.Net.create ()) in
 
   (* Receiver A: strict, the paper's published rules. *)
-  let strict = Peer.create ~net "strict-receiver" in
+  let strict = Peer.create ~transport "strict-receiver" in
   Peer.publish_assembly strict (Demo.news_assembly ());
   Peer.register_interest strict ~interest:Demo.news_person
     (fun ~from:_ _ -> ());
@@ -41,7 +41,8 @@ let () =
   (* Receiver B: Levenshtein threshold 1 (§4.2's "one could be more
      general" knob). *)
   let relaxed =
-    Peer.create ~net ~config:(Config.relaxed ~distance:1) "relaxed-receiver"
+    let shared = Peer.create_shared ~config:(Config.relaxed ~distance:1) () in
+    Peer.create ~transport ~shared "relaxed-receiver"
   in
   Peer.publish_assembly relaxed (Demo.news_assembly ());
   Peer.register_interest relaxed ~interest:Demo.news_person
@@ -65,11 +66,11 @@ let () =
 
   List.iter
     (fun (name, assembly, make) ->
-      let sender, v = send_person net name assembly make in
+      let sender, v = send_person transport name assembly make in
       Printf.printf "\n%s ships a %s\n" name (Value.type_name v);
       Peer.send_value sender ~dst:"strict-receiver" v;
       Peer.send_value sender ~dst:"relaxed-receiver" v;
-      Net.run net;
+      Transport.run transport;
       Printf.printf " strict receiver:\n";
       report strict;
       Printf.printf " relaxed receiver:\n";

@@ -11,8 +11,9 @@ module Demo = Pti_demo.Demo_types
 let () =
   let net = Net.create () in
   let trace = Trace.attach net in
-  let sender = Peer.create ~net "sender" in
-  let receiver = Peer.create ~net "receiver" in
+  let transport = Pti_transport.Transport.of_net net in
+  let sender = Peer.create ~transport "sender" in
+  let receiver = Peer.create ~transport "receiver" in
   Peer.publish_assembly sender (Demo.social_assembly ());
   Peer.publish_assembly receiver (Demo.news_assembly ());
   Peer.register_interest receiver ~interest:Demo.news_person

@@ -9,15 +9,15 @@
 
 open Pti_cts
 module Peer = Pti_core.Peer
-module Net = Pti_net.Net
+module Transport = Pti_transport.Transport
 module Stats = Pti_net.Stats
 module Demo = Pti_demo.Demo_types
 
 let () =
   (* A tiny simulated LAN. *)
-  let net = Net.create ~default_latency_ms:1.0 () in
-  let sender = Peer.create ~net "sender" in
-  let receiver = Peer.create ~net "receiver" in
+  let transport = Transport.of_net (Pti_net.Net.create ~default_latency_ms:1.0 ()) in
+  let sender = Peer.create ~transport "sender" in
+  let receiver = Peer.create ~transport "receiver" in
 
   (* Each peer loads only its own programmer's code. *)
   Peer.publish_assembly sender (Demo.social_assembly ());
@@ -50,8 +50,8 @@ let () =
   Peer.send_value sender ~dst:"receiver" alice;
 
   (* Let the simulation run the whole Figure-1 protocol. *)
-  Net.run net;
+  Transport.run transport;
 
   Printf.printf "\nwire traffic:\n%s\n"
-    (Format.asprintf "%a" Stats.pp (Net.stats net));
-  Printf.printf "\nsimulated completion time: %.2f ms\n" (Net.now_ms net)
+    (Format.asprintf "%a" Stats.pp (Transport.stats transport));
+  Printf.printf "\nsimulated completion time: %.2f ms\n" (Transport.now_ms transport)

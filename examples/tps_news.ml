@@ -9,7 +9,7 @@
 
 open Pti_cts
 module Peer = Pti_core.Peer
-module Net = Pti_net.Net
+module Transport = Pti_transport.Transport
 module Stats = Pti_net.Stats
 module Tps = Pti_tps.Tps
 module Demo = Pti_demo.Demo_types
@@ -17,15 +17,15 @@ module Demo = Pti_demo.Demo_types
 let str v = match v with Value.Vstring s -> s | _ -> assert false
 
 let () =
-  let net = Net.create ~default_latency_ms:2.0 () in
-  let domain = Tps.create ~net ~broker:"broker" () in
+  let transport = Transport.of_net (Pti_net.Net.create ~default_latency_ms:2.0 ()) in
+  let domain = Tps.create ~transport ~broker:"broker" () in
 
   (* The agency publishes events using the "social" team's types. *)
-  let agency = Peer.create ~net "agency" in
+  let agency = Peer.create ~transport "agency" in
   Peer.publish_assembly agency (Demo.social_assembly ());
 
   (* Subscriber 1: the "news" team — conformant but different types. *)
-  let newsroom = Peer.create ~net "newsroom" in
+  let newsroom = Peer.create ~transport "newsroom" in
   Peer.publish_assembly newsroom (Demo.news_assembly ());
   let newsroom_sub =
     Tps.subscribe domain newsroom ~interest:Demo.news_event
@@ -37,7 +37,7 @@ let () =
   in
 
   (* Subscriber 2: a telemetry service interested only in printers. *)
-  let telemetry = Peer.create ~net "telemetry" in
+  let telemetry = Peer.create ~transport "telemetry" in
   Peer.publish_assembly telemetry (Demo.printsvc_assembly ());
   let telemetry_sub =
     Tps.subscribe domain telemetry ~interest:Demo.printsvc ()
@@ -65,7 +65,7 @@ let () =
   Printf.printf "telemetry deliveries: %d (its interest never matched)\n"
     (List.length (Tps.deliveries telemetry_sub));
 
-  let s = Net.stats net in
+  let s = Transport.stats transport in
   Printf.printf "\nassembly downloads: %d (code fetched once, then cached)\n"
     (Stats.messages s Stats.Asm_request);
   Printf.printf "wire traffic:\n%s\n" (Format.asprintf "%a" Stats.pp s)

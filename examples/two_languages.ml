@@ -10,7 +10,7 @@
 
 open Pti_cts
 module Peer = Pti_core.Peer
-module Net = Pti_net.Net
+module Transport = Pti_transport.Transport
 module Idl = Pti_idl.Idl
 module Vbdl = Pti_idl.Vbdl
 
@@ -85,10 +85,10 @@ let () =
         exit 1
   in
 
-  let net = Net.create () in
-  let vb_host = Peer.create ~net "vb-host" in
+  let transport = Transport.of_net (Pti_net.Net.create ()) in
+  let vb_host = Peer.create ~transport "vb-host" in
   Peer.publish_assembly vb_host vb_asm;
-  let cs_host = Peer.create ~net "cs-host" in
+  let cs_host = Peer.create ~transport "cs-host" in
   Peer.publish_assembly cs_host cs_asm;
 
   (* Each host only understands its own language's Person. *)
@@ -109,7 +109,7 @@ let () =
       [ Value.Vstring "Vera"; Value.Vint 41 ]
   in
   Peer.send_value vb_host ~dst:"cs-host" vb_person;
-  Net.run net;
+  Transport.run transport;
 
   (* ... and C# -> VB. *)
   let cs_person =
@@ -117,7 +117,7 @@ let () =
       [ Value.Vint 33; Value.Vstring "Carl" ]
   in
   Peer.send_value cs_host ~dst:"vb-host" cs_person;
-  Net.run net;
+  Transport.run transport;
 
   print_endline
     "\nBoth directions conform: two programmers, two languages, two GUIDs,\n\

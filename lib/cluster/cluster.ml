@@ -1,4 +1,3 @@
-module Net = Pti_net.Net
 module Transport = Pti_transport.Transport
 module Peer = Pti_core.Peer
 module Message = Pti_core.Message
@@ -10,31 +9,21 @@ type t = {
 
 let create ?mode ?codec ?metrics ?(factor = 2) ?(seed = 7L)
     ?request_timeout_ms ?fetch_retries ?fetch_backoff_ms ?probe_timeout_ms
-    ?handles ?batch_bytes ?tdesc_binary ?handle_table_capacity
-    ?piggyback_interval_ms ?net ?transport addrs =
+    ?handles ?batch_bytes ?tdesc_binary ~transport:tr addrs =
   if addrs = [] then invalid_arg "Cluster.create: no addresses";
-  let tr =
-    match (net, transport) with
-    | Some n, None -> Transport.of_net n
-    | None, Some tr -> tr
-    | Some _, Some _ ->
-        invalid_arg "Cluster.create: pass ~net or ~transport, not both"
-    | None, None -> invalid_arg "Cluster.create: needs ~net or ~transport"
-  in
   let nodes =
     List.mapi
       (fun i addr ->
         let peer =
           Peer.create ?mode ?codec ?metrics ?request_timeout_ms
             ?fetch_retries ?fetch_backoff_ms ?handles ?batch_bytes
-            ?tdesc_binary ?handle_table_capacity ~transport:tr addr
+            ?tdesc_binary ~transport:tr addr
         in
         (* Distinct deterministic streams per node: same cluster seed,
            different partner choices. *)
         let node_seed = Int64.add seed (Int64.of_int ((i + 1) * 7919)) in
         ( addr,
-          Node.create ~factor ~seed:node_seed ?probe_timeout_ms
-            ?piggyback_interval_ms peer ))
+          Node.create ~factor ~seed:node_seed ?probe_timeout_ms peer ))
       addrs
   in
   let t = { tr; nodes } in
@@ -43,13 +32,6 @@ let create ?mode ?codec ?metrics ?(factor = 2) ?(seed = 7L)
   t
 
 let transport t = t.tr
-let net t =
-  match Transport.sim_net t.tr with
-  | Some n -> n
-  | None ->
-      invalid_arg
-        "Cluster.net: cluster runs on a socket transport, not the simulated \
-         network"
 let addresses t = List.map fst t.nodes
 let nodes t = List.map snd t.nodes
 

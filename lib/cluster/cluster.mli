@@ -4,8 +4,8 @@
     The harness owns nothing the nodes do not: it creates one peer +
     node per address, bootstraps membership with the full roster, and
     offers round-driving and whole-host crash/heal conveniences. The
-    transport may be the simulated network (deterministic, the
-    default for tests) or a socket fabric. *)
+    transport may wrap the simulated network ([Transport.of_net],
+    deterministic, what the tests use) or be a socket fabric. *)
 
 type t
 
@@ -14,25 +14,16 @@ val create : ?mode:Pti_core.Peer.mode -> ?codec:Pti_serial.Envelope.codec ->
   ?request_timeout_ms:float -> ?fetch_retries:int ->
   ?fetch_backoff_ms:float -> ?probe_timeout_ms:float ->
   ?handles:bool -> ?batch_bytes:int -> ?tdesc_binary:bool ->
-  ?handle_table_capacity:int -> ?piggyback_interval_ms:float ->
-  ?net:Pti_core.Message.t Pti_net.Net.t ->
-  ?transport:Pti_core.Message.t Pti_transport.Transport.t ->
+  transport:Pti_core.Message.t Pti_transport.Transport.t ->
   string list -> t
-(** One peer + node per address, registered on the given fabric —
-    exactly one of [~net] (simulated network, wrapped) or
-    [~transport]. [factor] is the replication factor of every
-    {!Node.publish} (default 2); [seed] derives each node's
-    deterministic gossip-partner stream; the remaining knobs pass
-    through to {!Pti_core.Peer.create} / {!Node.create}.
-    @raise Invalid_argument on an empty address list, or unless
-    exactly one of [~net] / [~transport] is given. *)
+(** One peer + node per address, registered on [transport]. [factor]
+    is the replication factor of every {!Node.publish} (default 2);
+    [seed] derives each node's deterministic gossip-partner stream; the
+    remaining knobs pass through to {!Pti_core.Peer.create} /
+    {!Node.create}.
+    @raise Invalid_argument on an empty address list. *)
 
 val transport : t -> Pti_core.Message.t Pti_transport.Transport.t
-
-val net : t -> Pti_core.Message.t Pti_net.Net.t
-(** The underlying simulated network.
-    @raise Invalid_argument when the cluster runs on a socket
-    transport. *)
 
 val addresses : t -> string list
 (** Creation order. *)

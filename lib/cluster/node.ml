@@ -35,10 +35,6 @@ type t = {
   mirrors : (string, string) Hashtbl.t;  (* download path -> assembly *)
   inflight : (int, float * string) Hashtbl.t;  (* token -> sent_at, partner *)
   mutable next_token : int;
-  (* Free-rider gossip: when the peer flushes an object batch to a
-     member, an anti-entropy digest rides along — throttled per
-     destination so hot links do not turn into digest firehoses. *)
-  piggyback_interval_ms : float;
   piggy_last : (string, float) Hashtbl.t;
   mc_rounds : Metrics.counter;
   mc_digest_bytes : Metrics.counter;
@@ -492,6 +488,11 @@ let fingerprint t =
 (* Piggybacked gossip                                                 *)
 (* ---------------------------------------------------------------- *)
 
+(* Free-rider gossip: when the peer flushes an object batch to a member,
+   an anti-entropy digest rides along — at most once per this many ms
+   per destination, so hot links do not turn into digest firehoses. *)
+let piggyback_interval_ms = 1_000.
+
 (* Digest to ride on an outgoing object batch. No inflight entry and no
    probe timer: piggybacked digests are opportunistic, so they feed
    dissemination but not failure detection (a missing reply must not
@@ -502,7 +503,7 @@ let piggyback_for t ~dst =
     let now = Peer.now_ms t.peer in
     let due =
       match Hashtbl.find_opt t.piggy_last dst with
-      | Some last -> now -. last >= t.piggyback_interval_ms
+      | Some last -> now -. last >= piggyback_interval_ms
       | None -> true
     in
     if not due then []
@@ -520,8 +521,7 @@ let piggyback_for t ~dst =
 (* Construction                                                       *)
 (* ---------------------------------------------------------------- *)
 
-let create ?(factor = 2) ?(seed = 17L) ?(probe_timeout_ms = 5_000.)
-    ?(piggyback_interval_ms = 1_000.) peer =
+let create ?(factor = 2) ?(seed = 17L) ?(probe_timeout_ms = 5_000.) peer =
   if factor < 1 then invalid_arg "Node.create: factor must be >= 1";
   let addr = Peer.address peer in
   let m = Peer.metrics peer in
@@ -538,7 +538,6 @@ let create ?(factor = 2) ?(seed = 17L) ?(probe_timeout_ms = 5_000.)
       mirrors = Hashtbl.create 16;
       inflight = Hashtbl.create 8;
       next_token = 0;
-      piggyback_interval_ms;
       piggy_last = Hashtbl.create 8;
       mc_rounds = Metrics.counter m (pfx "gossip.rounds");
       mc_digest_bytes = Metrics.counter m (pfx "digest.bytes");

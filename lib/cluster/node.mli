@@ -44,16 +44,15 @@ val status_name : status -> string
 type t
 
 val create : ?factor:int -> ?seed:int64 -> ?probe_timeout_ms:float ->
-  ?piggyback_interval_ms:float -> Pti_core.Peer.t -> t
+  Pti_core.Peer.t -> t
 (** Wrap [peer]: installs the gossip handler, mirror provider and batch
     piggyback provider, and registers [cluster.<address>.*] metrics
     (gossip.rounds, gossip.piggybacked, digest.bytes,
     members.alive/total, mirrors.known, replication.factor,
     fetch.failovers) on the peer's registry. [factor] (default 2) is
     the total number of copies {!publish} places, including the
-    publisher's own. [piggyback_interval_ms] (default 1000) throttles
-    how often an anti-entropy digest rides an outgoing object batch to
-    any one destination.
+    publisher's own. An anti-entropy digest rides an outgoing object
+    batch to any one destination at most once per second.
     @raise Invalid_argument when [factor < 1]. *)
 
 val peer : t -> Pti_core.Peer.t

@@ -193,8 +193,7 @@ type t = {
      of membership and replication — pti_cluster installs both. *)
   mutable mirror_provider :
     (assembly:string -> advertised:string -> string list) option;
-  mutable gossip_handler :
-    (src:string -> kind:string -> body:string -> unit) option;
+  mutable gossip_handler : src:string -> kind:string -> body:string -> unit;
   (* Wire-efficiency layer. Sending handle-encoded envelopes and batches
      is opt-in per peer; receiving either is unconditional, so a link
      between a negotiating sender and a classic receiver still works
@@ -206,7 +205,7 @@ type t = {
   h_recv : (string, Ht.receiver) Hashtbl.t;  (* src -> learned bindings *)
   parked : (string, parked list ref) Hashtbl.t;  (* src -> waiting *)
   batches : (string, batch_buf) Hashtbl.t;  (* dst -> open batch *)
-  mutable piggyback_provider : (dst:string -> (string * string) list) option;
+  mutable piggyback_provider : dst:string -> (string * string) list;
   wire_ctrs : wire_counters;
 }
 
@@ -217,13 +216,6 @@ let proxy_context t = t.sl.sl_px
 let mode t = t.peer_mode
 let transport t = t.tr
 let now_ms t = Transport.now_ms t.tr
-
-let net t =
-  match Transport.sim_net t.tr with
-  | Some n -> n
-  | None ->
-      invalid_arg
-        "Peer.net: peer runs on a socket transport, not the simulated network"
 
 let endpoint t =
   match t.ep with Some e -> e | None -> assert false
@@ -289,11 +281,25 @@ let log_event t e =
 
 let lc = String.lowercase_ascii
 
+(* Cache and dedup key of a chain-pinned entry: [name@vN], or the bare
+   name for version 0 (unpinned). *)
+let versioned_key name version =
+  if version > 0 then Printf.sprintf "%s@v%d" name version else name
+
 (* Description lookup: local code first, then the description cache. *)
 let local_desc t name =
   match Registry.find t.sh.sh_reg name with
   | Some cd -> Some (Td.of_class cd)
   | None -> Lru.Str.find t.sl.sl_tdesc_cache (lc name)
+
+(* The exact revision an envelope entry pinned: loaded code by GUID, else
+   the version-pinned cache slot (chain versions > 0 only). *)
+let pinned_desc t name ~version guid =
+  match Registry.find_by_guid t.sh.sh_reg guid with
+  | Some cd -> Some (Td.of_class cd)
+  | None when version > 0 ->
+      Lru.Str.find t.sl.sl_tdesc_cache (versioned_key (lc name) version)
+  | None -> None
 
 let cache_desc ?(version = 0) t d =
   if version > 0 then begin
@@ -305,7 +311,7 @@ let cache_desc ?(version = 0) t d =
        re-derived (the GUID witness keeps any verdict that already
        resolved this very description). *)
     let nm = lc (Td.qualified_name d) in
-    let key = Printf.sprintf "%s@v%d" nm version in
+    let key = versioned_key nm version in
     if not (Lru.Str.mem t.sl.sl_tdesc_cache key) then begin
       Lru.Str.put t.sl.sl_tdesc_cache key d;
       let newest =
@@ -376,7 +382,8 @@ let send t ~dst msg =
    instead of stalling forever. *)
 let default_request_timeout_ms = 10_000.
 
-let arm_timeout t conts token =
+(* Park [k] under [token] until its reply (see [take_cont]) or timeout. *)
+let await_reply t conts token k extra =
   let cancel =
     Transport.timer_cancellable t.tr ~owner:t.addr
       ~info:(Printf.sprintf "request-timeout#%d" token)
@@ -388,10 +395,7 @@ let arm_timeout t conts token =
             Hashtbl.remove conts token;
             k None)
   in
-  (* Fill in the cancel thunk next to the continuation. *)
-  match Hashtbl.find_opt conts token with
-  | Some (k, _, retries) -> Hashtbl.replace conts token (k, cancel, retries)
-  | None -> ()
+  Hashtbl.replace conts token (k, cancel, extra)
 
 (* [retries] is the corrupt-reply budget: a reply that arrives but fails
    to parse is treated as wire damage and re-requested that many times
@@ -400,37 +404,44 @@ let arm_timeout t conts token =
 let request_tdesc ?retries ?(version = 0) t ~from name k =
   let token = fresh_token t in
   let retries = Option.value ~default:t.fetch_retries retries in
-  Hashtbl.replace t.tdesc_conts token (k, (fun () -> ()), (retries, version));
-  arm_timeout t t.tdesc_conts token;
+  await_reply t t.tdesc_conts token k (retries, version);
   send t ~dst:from
     (Message.Tdesc_request
        { type_name = name; token; binary_ok = t.tdesc_binary; version })
 
-(* Like [request_tdesc], but concurrent requests for the same name from
-   the same host share one wire exchange: later callers just enqueue
-   their continuation on the outstanding one. The inflight entry stays
-   until the (possibly retried) exchange resolves, so corrupt-reply
-   re-requests keep absorbing new callers too. *)
-let request_tdesc_shared ?(version = 0) t ~from name k =
-  if not t.share_inflight then request_tdesc ~version t ~from name k
+(* In-flight dedup: concurrent fetches under one [key] share one
+   exchange — later callers just enqueue their continuation on the
+   outstanding one ([None]). The first caller gets [Some k'] and must
+   start the exchange with [k'], which fans the reply out to every
+   waiter. The entry stays until the (possibly retried) exchange
+   resolves, so re-requests keep absorbing new callers too.
+   [share_inflight:false] turns the guard off: every caller starts its
+   own exchange. *)
+let join_inflight t inflight key k =
+  if not t.share_inflight then Some k
   else
-  let key =
-    from ^ "|" ^ lc name
-    ^ if version > 0 then Printf.sprintf "@v%d" version else ""
-  in
-  match Hashtbl.find_opt t.tdesc_inflight key with
-  | Some waiters -> waiters := k :: !waiters
-  | None ->
-      let waiters = ref [ k ] in
-      Hashtbl.add t.tdesc_inflight key waiters;
-      request_tdesc ~version t ~from name (fun resp ->
-          Hashtbl.remove t.tdesc_inflight key;
-          List.iter (fun k -> k resp) (List.rev !waiters))
+    match Hashtbl.find_opt inflight key with
+    | Some waiters ->
+        waiters := k :: !waiters;
+        None
+    | None ->
+        let waiters = ref [ k ] in
+        Hashtbl.add inflight key waiters;
+        Some
+          (fun resp ->
+            Hashtbl.remove inflight key;
+            List.iter (fun k -> k resp) (List.rev !waiters))
+
+(* [request_tdesc] deduped per (host, name, pinned version). *)
+let request_tdesc_shared ?(version = 0) t ~from name k =
+  let key = from ^ "|" ^ versioned_key (lc name) version in
+  match join_inflight t t.tdesc_inflight key k with
+  | Some k -> request_tdesc ~version t ~from name k
+  | None -> ()
 
 let request_assembly t ~host ~path k =
   let token = fresh_token t in
-  Hashtbl.replace t.asm_conts token (k, (fun () -> ()), 0);
-  arm_timeout t t.asm_conts token;
+  await_reply t t.asm_conts token k 0;
   send t ~dst:host (Message.Asm_request { path; token })
 
 (* Fetch the transitive closure of descriptions for [names] from [from],
@@ -447,19 +458,15 @@ let ensure_descs ?(pins = []) t ~from names k =
   let local key name =
     match pin_of key with
     | Some (v, guid) when v > 0 -> (
-        match Registry.find_by_guid t.sh.sh_reg guid with
-        | Some cd -> Some (Td.of_class cd)
+        match pinned_desc t name ~version:v guid with
+        | Some _ as d -> d
         | None -> (
-            match
-              Lru.Str.find t.sl.sl_tdesc_cache (Printf.sprintf "%s@v%d" key v)
-            with
-            | Some d -> Some d
-            | None -> (
-                (* A bare cached description still satisfies the pin when
-                   it is the pinned revision. *)
-                match local_desc t name with
-                | Some d when Pti_util.Guid.equal d.Td.ty_guid guid -> Some d
-                | _ -> None)))
+            (* A bare cached description still satisfies the pin when it
+               is the pinned revision. *)
+            match local_desc t name with
+            | Some d as found when Pti_util.Guid.equal d.Td.ty_guid guid ->
+                found
+            | _ -> None))
     | _ -> local_desc t name
   in
   let rec need name =
@@ -575,23 +582,11 @@ let fetch_assembly_failover t ~asm_name ~advertised k =
   in
   match local with
   | Some (path, asm) -> k (Some (path, asm))
-  | None when not t.share_inflight ->
-      fetch_assembly_uncached t ~asm_name ~advertised k
   | None -> (
-      let key =
-        lc asm_name
-        ^ match pin with Some v -> Printf.sprintf "@v%d" v | None -> ""
-      in
-      match Hashtbl.find_opt t.asm_inflight key with
-      | Some waiters -> waiters := k :: !waiters
-      | None ->
-          let waiters = ref [ k ] in
-          Hashtbl.add t.asm_inflight key waiters;
-          fetch_assembly_uncached t ~asm_name ~advertised (fun resp ->
-              Hashtbl.remove t.asm_inflight key;
-              List.iter (fun k -> k resp) (List.rev !waiters)))
-
-exception Load_error of string * string  (* assembly, reason *)
+      let key = versioned_key (lc asm_name) (Option.value pin ~default:0) in
+      match join_inflight t t.asm_inflight key k with
+      | Some k -> fetch_assembly_uncached t ~asm_name ~advertised k
+      | None -> ())
 
 (* Promote an assembly to the live revision: names rebind, old GUIDs stay
    reachable, and the checker drops exactly the verdicts bound to the
@@ -609,11 +604,17 @@ let upgrade_assembly_local t asm =
    registers classically; a strictly newer revision of an assembly we
    already run upgrades the live bindings; a strictly older one is
    shadow-registered — its GUIDs resolve for in-flight old envelopes,
-   but the names keep pointing at the newer live revision. *)
-let load_assembly t asm =
+   but the names keep pointing at the newer live revision. A failure is
+   logged as [Load_failed] (under [name] when the registry rejects a
+   class outright) and its reason returned. *)
+let load_assembly t ~name asm =
   let key = lc asm.Assembly.asm_name in
   let v = asm.Assembly.asm_version in
-  try
+  let failed assembly reason =
+    log_event t (Load_failed { assembly; reason });
+    Some reason
+  in
+  match
     match Hashtbl.find_opt t.sh.sh_loaded_versions key with
     | None ->
         Assembly.load t.sh.sh_reg asm;
@@ -623,12 +624,12 @@ let load_assembly t asm =
         Hashtbl.replace t.sh.sh_loaded_versions key v
     | Some prev when v < prev -> Assembly.shadow t.sh.sh_reg asm
     | Some _ -> Assembly.load t.sh.sh_reg asm
-  with Registry.Duplicate name ->
-    raise
-      (Load_error
-         ( asm.Assembly.asm_name,
-           Printf.sprintf "type %s collides with an existing definition" name
-         ))
+  with
+  | () -> None
+  | exception Registry.Duplicate ty ->
+      failed asm.Assembly.asm_name
+        (Printf.sprintf "type %s collides with an existing definition" ty)
+  | exception Invalid_argument reason -> failed name reason
 
 (* Download and load every assembly needed by the envelope's type entries
    whose GUIDs are not yet loaded. [k] receives [Ok ()] or a reason. *)
@@ -659,21 +660,17 @@ let ensure_assemblies t (env : Envelope.t) k =
   let fetch (asm_name, path) =
     incr outstanding;
     fetch_assembly_failover t ~asm_name ~advertised:path (fun resp ->
-        (match resp with
-        | Some (_, asm) -> (
-            try load_assembly t asm with
-            | Load_error (a, reason) ->
-                log_event t (Load_failed { assembly = a; reason });
-                if !failed = None then failed := Some reason
-            | Invalid_argument reason ->
-                log_event t (Load_failed { assembly = asm_name; reason });
-                if !failed = None then failed := Some reason)
-        | None ->
-            let reason =
-              Printf.sprintf "assembly %s not available at %s" asm_name path
-            in
-            log_event t (Load_failed { assembly = asm_name; reason });
-            if !failed = None then failed := Some reason);
+        let failure =
+          match resp with
+          | Some (_, asm) -> load_assembly t ~name:asm_name asm
+          | None ->
+              let reason =
+                Printf.sprintf "assembly %s not available at %s" asm_name path
+              in
+              log_event t (Load_failed { assembly = asm_name; reason });
+              Some reason
+        in
+        if !failed = None then failed := failure;
         decr outstanding;
         check_done ())
   in
@@ -684,12 +681,27 @@ let ensure_assemblies t (env : Envelope.t) k =
 (* Pass-by-value reception (Figure 1)                                 *)
 (* ---------------------------------------------------------------- *)
 
+let envelope_error e = Format.asprintf "%a" Envelope.pp_error e
+
+let decode_failed t ~from e =
+  log_event t (Decode_failed { from; reason = envelope_error e })
+
+(* Step: decode the payload against the loaded code. A failure is logged
+   here — wire damage the payload digest caught as [Corrupt_rejected],
+   anything else as [Decode_failed] — and the result handed back. *)
+let decode_payload t ~from env =
+  let r = Envelope.decode_payload t.sh.sh_reg env in
+  (match r with
+  | Ok _ -> ()
+  | Error (Envelope.Corrupt reason) ->
+      log_event t (Corrupt_rejected { from; what = "payload"; reason })
+  | Error e -> decode_failed t ~from e);
+  r
+
 let deliver_primitive t ~from value =
   match t.default_sink with
   | Some sink -> sink ~from value
-  | None ->
-      log_event t
-        (Delivered { interest = "(sink)"; from; value })
+  | None -> log_event t (Delivered { interest = "(sink)"; from; value })
 
 (* Which interests accept the root type, and with what mapping? *)
 let matching_interests t (root : Td.t) =
@@ -703,6 +715,10 @@ let matching_interests t (root : Td.t) =
           | Checker.Not_conformant _ -> None))
     t.interests
 
+let failure_message = function
+  | [] -> "not conformant"
+  | f :: _ -> f.Checker.message
+
 let first_failure t (root : Td.t) =
   (* For the rejection log: report the first interest's failure detail. *)
   match t.interests with
@@ -713,8 +729,7 @@ let first_failure t (root : Td.t) =
       | Some interest_d -> (
           match Checker.check t.sl.sl_checker ~actual:root ~interest:interest_d with
           | Checker.Conformant _ -> "conformant (race)"
-          | Checker.Not_conformant [] -> "not conformant"
-          | Checker.Not_conformant (f :: _) -> f.Checker.message))
+          | Checker.Not_conformant fs -> failure_message fs))
 
 (* Root description pinned to the sender's actual revision: the envelope
    entry names the GUID the sender serialized against, so conformance is
@@ -728,46 +743,51 @@ let env_desc t (env : Envelope.t) name =
   with
   | None -> local_desc t name
   | Some e -> (
-      match Registry.find_by_guid t.sh.sh_reg e.Envelope.te_guid with
-      | Some cd -> Some (Td.of_class cd)
-      | None -> (
-          let versioned =
-            if e.Envelope.te_version > 0 then
-              Lru.Str.find t.sl.sl_tdesc_cache
-                (Printf.sprintf "%s@v%d" (lc name) e.Envelope.te_version)
-            else None
-          in
-          match versioned with Some d -> Some d | None -> local_desc t name))
+      match
+        pinned_desc t name ~version:e.Envelope.te_version e.Envelope.te_guid
+      with
+      | Some _ as d -> d
+      | None -> local_desc t name)
+
+(* Step: judge the envelope's root type against every interest. Returns
+   the conformant ones, or [] after logging why none is: [missing] logs
+   a root description that does not resolve at all, anything else is a
+   [Rejected] naming the first interest's failure. *)
+let conform_root t ~from env root_name ~missing =
+  match env_desc t env root_name with
+  | None ->
+      missing t ~from root_name;
+      []
+  | Some root -> (
+      match matching_interests t root with
+      | [] ->
+          log_event t
+            (Rejected
+               { type_name = root_name; from; reason = first_failure t root });
+          []
+      | matches -> matches)
+
+let desc_unavailable t ~from type_name =
+  log_event t
+    (Rejected { type_name; from; reason = "type description unavailable" })
+
+let root_vanished t ~from _ =
+  log_event t
+    (Decode_failed { from; reason = "root type vanished after decode" })
 
 let decode_and_deliver t ~from (env : Envelope.t) root_name =
-  match Envelope.decode_payload t.sh.sh_reg env with
-  | Error (Envelope.Corrupt reason) ->
-      log_event t (Corrupt_rejected { from; what = "payload"; reason })
-  | Error e ->
-      log_event t
-        (Decode_failed { from; reason = Format.asprintf "%a" Envelope.pp_error e })
-  | Ok value -> (
-      match env_desc t env root_name with
-      | None ->
-          log_event t
-            (Decode_failed
-               { from; reason = "root type vanished after decode" })
-      | Some root ->
-          let matches = matching_interests t root in
-          if matches = [] then
-            log_event t
-              (Rejected
-                 { type_name = root_name; from; reason = first_failure t root })
-          else
-            List.iter
-              (fun (interest, cb, m) ->
-                let delivered =
-                  if m.Mapping.identity then value
-                  else Proxy.wrap t.sl.sl_px ~interest ~mapping:m value
-                in
-                log_event t (Delivered { interest; from; value = delivered });
-                cb ~from delivered)
-              matches)
+  match decode_payload t ~from env with
+  | Error _ -> ()
+  | Ok value ->
+      List.iter
+        (fun (interest, cb, m) ->
+          let delivered =
+            if m.Mapping.identity then value
+            else Proxy.wrap t.sl.sl_px ~interest ~mapping:m value
+          in
+          log_event t (Delivered { interest; from; value = delivered });
+          cb ~from delivered)
+        (conform_root t ~from env root_name ~missing:root_vanished)
 
 (* Per-link handle tables, created lazily per correspondent. *)
 let sender_table t dst =
@@ -825,90 +845,60 @@ let park_envelope t ~from ~budget msg_env tdescs assemblies =
   lst := pk :: !lst
 
 let process_envelope t ~from (env : Envelope.t) tdescs assemblies =
-  (
-      (* Eager extras: load whatever was shipped inline. *)
-      List.iter
-        (fun s -> match Td.of_wire_string s with
-          | Ok d -> cache_desc t d
-          | Error _ -> ())
-        tdescs;
-      List.iter
-        (fun s ->
-          match Assembly_xml.of_string s with
-          | Ok asm -> (
-              try load_assembly t asm with
-              | Load_error (a, reason) ->
-                  log_event t (Load_failed { assembly = a; reason })
-              | Invalid_argument reason ->
-                  log_event t (Load_failed { assembly = "?"; reason }))
-          | Error reason -> log_event t (Load_failed { assembly = "?"; reason }))
-        assemblies;
-      match env.Envelope.env_types with
-      | [] -> (
-          (* No objects in the graph: nothing to conform, just decode. *)
-          match Envelope.decode_payload t.sh.sh_reg env with
-          | Ok v -> deliver_primitive t ~from v
-          | Error (Envelope.Corrupt reason) ->
-              log_event t (Corrupt_rejected { from; what = "payload"; reason })
-          | Error e ->
-              log_event t
-                (Decode_failed
-                   { from; reason = Format.asprintf "%a" Envelope.pp_error e }))
-      | root_entry :: _ ->
-          let root_name = root_entry.Envelope.te_name in
-          let all_names =
-            List.map (fun (e : Envelope.type_entry) -> e.Envelope.te_name)
-              env.Envelope.env_types
-          in
-          let all_known_by_guid =
-            List.for_all
-              (fun (e : Envelope.type_entry) ->
-                Registry.mem_guid t.sh.sh_reg e.Envelope.te_guid)
-              env.Envelope.env_types
-          in
-          if all_known_by_guid then
-            (* Optimistic fast path: everything already loaded. *)
-            decode_and_deliver t ~from env root_name
-          else
-            (* Step 2-3: pull type information, check the rules. Entries
-               stamped with a chain version pin the fetch to that exact
-               revision. *)
-            let pins =
-              List.filter_map
-                (fun (e : Envelope.type_entry) ->
-                  if e.Envelope.te_version > 0 then
-                    Some
-                      ( lc e.Envelope.te_name,
-                        (e.Envelope.te_version, e.Envelope.te_guid) )
-                  else None)
-                env.Envelope.env_types
-            in
-            ensure_descs ~pins t ~from all_names (fun () ->
-                match env_desc t env root_name with
-                | None ->
-                    log_event t
-                      (Rejected
-                         {
-                           type_name = root_name;
-                           from;
-                           reason = "type description unavailable";
-                         })
-                | Some root ->
-                    let matches = matching_interests t root in
-                    if matches = [] then
-                      log_event t
-                        (Rejected
-                           {
-                             type_name = root_name;
-                             from;
-                             reason = first_failure t root;
-                           })
-                    else
-                      (* Step 4-5: conformant — download the code. *)
-                      ensure_assemblies t env (function
-                        | Ok () -> decode_and_deliver t ~from env root_name
-                        | Error reason ->
-                            log_event t (Decode_failed { from; reason }))))
+  (* Eager extras: load whatever was shipped inline. *)
+  List.iter
+    (fun s ->
+      match Td.of_wire_string s with Ok d -> cache_desc t d | Error _ -> ())
+    tdescs;
+  List.iter
+    (fun s ->
+      match Assembly_xml.of_string s with
+      | Ok asm -> ignore (load_assembly t ~name:asm.Assembly.asm_name asm)
+      | Error reason -> log_event t (Load_failed { assembly = "?"; reason }))
+    assemblies;
+  match env.Envelope.env_types with
+  | [] -> (
+      (* No objects in the graph: nothing to conform, just decode. *)
+      match decode_payload t ~from env with
+      | Ok v -> deliver_primitive t ~from v
+      | Error _ -> ())
+  | root_entry :: _ ->
+      let root_name = root_entry.Envelope.te_name in
+      if
+        List.for_all
+          (fun (e : Envelope.type_entry) ->
+            Registry.mem_guid t.sh.sh_reg e.Envelope.te_guid)
+          env.Envelope.env_types
+      then
+        (* Optimistic fast path: everything already loaded. *)
+        decode_and_deliver t ~from env root_name
+      else
+        (* Step 2-3: pull type information, check the rules. Entries
+           stamped with a chain version pin the fetch to that exact
+           revision. *)
+        let all_names =
+          List.map
+            (fun (e : Envelope.type_entry) -> e.Envelope.te_name)
+            env.Envelope.env_types
+        in
+        let pins =
+          List.filter_map
+            (fun (e : Envelope.type_entry) ->
+              if e.Envelope.te_version > 0 then
+                Some
+                  ( lc e.Envelope.te_name,
+                    (e.Envelope.te_version, e.Envelope.te_guid) )
+              else None)
+            env.Envelope.env_types
+        in
+        ensure_descs ~pins t ~from all_names (fun () ->
+            match conform_root t ~from env root_name ~missing:desc_unavailable with
+            | [] -> ()
+            | _ ->
+                (* Step 4-5: conformant — download the code. *)
+                ensure_assemblies t env (function
+                  | Ok () -> decode_and_deliver t ~from env root_name
+                  | Error reason -> log_event t (Decode_failed { from; reason })))
 
 (* Parse an incoming object envelope — classic or handle-encoded — and
    run it through the reception pipeline. Unknown handles are NAKed and
@@ -940,9 +930,7 @@ let handle_envelope ?renego_budget t ~from (msg_env : string) tdescs
         Metrics.incr t.wire_ctrs.mc_renegotiations;
         send t ~dst:from (Message.Handle_nak { handles })
       end
-  | Error e ->
-      log_event t
-        (Decode_failed { from; reason = Format.asprintf "%a" Envelope.pp_error e })
+  | Error e -> decode_failed t ~from e
   | Ok (env, bindings) ->
       List.iter (fun (h, e) -> Ht.install rtab h e) bindings;
       process_envelope t ~from env tdescs assemblies
@@ -964,11 +952,11 @@ let assembly_version t ~assembly =
   | Some ve -> ve.Repository.ve_version
   | None -> 0
 
-let make_args_envelope t args =
+let make_envelope t v =
   Envelope.make t.sh.sh_reg ~codec:t.codec
     ~version_of:(fun ~assembly -> assembly_version t ~assembly)
     ~download_path:(fun ~assembly -> download_path t ~assembly)
-    (Value.Varr { Value.elem_ty = Ty.Named "object"; items = Array.of_list args })
+    v
 
 (* Receive a value envelope outside the interest pipeline (invocation
    arguments and results): fetch missing assemblies, decode, continue. *)
@@ -978,7 +966,7 @@ let receive_value_envelope t ~from:_ env k =
     | Ok () -> (
         match Envelope.decode_payload t.sh.sh_reg env with
         | Ok v -> k (Ok v)
-        | Error e -> k (Error (Format.asprintf "%a" Envelope.pp_error e))))
+        | Error e -> k (Error (envelope_error e))))
 
 let handle_invoke t ~from ~target ~meth ~args_xml ~token =
   let reply result error =
@@ -988,7 +976,7 @@ let handle_invoke t ~from ~target ~meth ~args_xml ~token =
   | None -> reply None (Some (Printf.sprintf "no exported object %d" target))
   | Some recv -> (
       match Envelope.of_string args_xml with
-      | Error e -> reply None (Some (Format.asprintf "%a" Envelope.pp_error e))
+      | Error e -> reply None (Some (envelope_error e))
       | Ok env ->
           receive_value_envelope t ~from env (function
             | Error reason -> reply None (Some reason)
@@ -996,21 +984,22 @@ let handle_invoke t ~from ~target ~meth ~args_xml ~token =
                 let args = Array.to_list a.Value.items in
                 match Eval.call t.sh.sh_reg recv meth args with
                 | result ->
-                    let renv =
-                      Envelope.make t.sh.sh_reg ~codec:t.codec
-                        ~version_of:(fun ~assembly ->
-                          assembly_version t ~assembly)
-                        ~download_path:(fun ~assembly ->
-                          download_path t ~assembly)
-                        result
-                    in
-                    reply (Some (Envelope.to_string renv)) None
+                    reply
+                      (Some (Envelope.to_string (make_envelope t result)))
+                      None
                 | exception Eval.Runtime_error msg -> reply None (Some msg))
             | Ok _ -> reply None (Some "malformed argument payload")))
 
 (* ---------------------------------------------------------------- *)
 (* Network handler                                                    *)
 (* ---------------------------------------------------------------- *)
+
+(* Claim a pending exchange's continuation on its reply: the entry goes
+   and its timeout is cancelled, so a late duplicate finds nothing. *)
+let take_cont conts token =
+  let pending = Hashtbl.find_opt conts token in
+  Option.iter (fun (_, cancel, _) -> Hashtbl.remove conts token; cancel ()) pending;
+  pending
 
 let handle t ~src msg =
   Log.debug (fun m -> m "[%s] <- %s: %s" t.addr src (Message.describe msg));
@@ -1028,10 +1017,7 @@ let handle t ~src msg =
                 p.Bf.p_assemblies)
             parts;
           List.iter
-            (fun (kind, body) ->
-              match t.gossip_handler with
-              | Some f -> f ~src ~kind ~body
-              | None -> ())
+            (fun (kind, body) -> t.gossip_handler ~src ~kind ~body)
             piggyback)
   | Message.Handle_nak { handles } -> (
       (* The other end lost bindings we assigned on this link: re-send
@@ -1095,7 +1081,7 @@ let handle t ~src msg =
         | None -> (
             match
               Lru.Str.find t.sl.sl_tdesc_cache
-                (Printf.sprintf "%s@v%d" (lc type_name) version)
+                (versioned_key (lc type_name) version)
             with
             | Some _ as d -> d
             | None -> local_desc t type_name)
@@ -1111,11 +1097,9 @@ let handle t ~src msg =
       in
       send t ~dst:src (Message.Tdesc_reply { type_name; desc; token })
   | Message.Tdesc_reply { type_name; desc; token } -> (
-      match Hashtbl.find_opt t.tdesc_conts token with
+      match take_cont t.tdesc_conts token with
       | None -> ()
-      | Some (k, cancel_timeout, (retries, version)) -> (
-          Hashtbl.remove t.tdesc_conts token;
-          cancel_timeout ();
+      | Some (k, _, (retries, version)) -> (
           match desc with
           | None -> k None
           | Some s -> (
@@ -1142,11 +1126,9 @@ let handle t ~src msg =
       in
       send t ~dst:src (Message.Asm_reply { path; assembly; token })
   | Message.Asm_reply { assembly; token; _ } -> (
-      match Hashtbl.find_opt t.asm_conts token with
+      match take_cont t.asm_conts token with
       | None -> ()
-      | Some (k, cancel_timeout, _) -> (
-          Hashtbl.remove t.asm_conts token;
-          cancel_timeout ();
+      | Some (k, _, _) -> (
           match assembly with
           | None -> k None
           | Some s -> (
@@ -1173,27 +1155,27 @@ let handle t ~src msg =
               | None -> k (Error "empty reply")
               | Some xml -> (
                   match Envelope.of_string xml with
-                  | Error e ->
-                      k (Error (Format.asprintf "%a" Envelope.pp_error e))
+                  | Error e -> k (Error (envelope_error e))
                   | Ok env ->
                       receive_value_envelope t ~from:src env (function
                         | Ok v -> k (Ok v)
                         | Error reason -> k (Error reason))))))
-  | Message.Gossip { kind; body } -> (
+  | Message.Gossip { kind; body } ->
       (* Routed, not interpreted: semantics live in pti_cluster. *)
-      match t.gossip_handler with
-      | Some f -> f ~src ~kind ~body
-      | None -> ())
+      t.gossip_handler ~src ~kind ~body
 
 (* ---------------------------------------------------------------- *)
 (* Construction                                                       *)
 (* ---------------------------------------------------------------- *)
 
-(* Bind the peer's cache and outcome counters into its metrics registry
-   under [peer.<addr>.*] (see HACKING.md for the naming scheme). Cache
-   counters are gauge callbacks reading the live LRU accounting, so a
-   snapshot is always current without per-operation bookkeeping. *)
-let bind_metrics m ~addr ~tdesc_cache ~known_paths ~event_log ~checker =
+(* Bind the peer's cache gauges into its metrics registry under
+   [peer.<addr>.*] (see HACKING.md for the naming scheme). They are
+   callbacks reading the live LRU accounting, so a snapshot is always
+   current without per-operation bookkeeping. Binding replaces any
+   earlier callback under the same name, so it happens only once the
+   address is registered: a rejected duplicate must not re-point the
+   live peer's gauges. *)
+let bind_gauges m ~addr sl event_log =
   let p name = Printf.sprintf "peer.%s.%s" addr name in
   let lru_gauges obj cache =
     let g name f =
@@ -1209,13 +1191,13 @@ let bind_metrics m ~addr ~tdesc_cache ~known_paths ~event_log ~checker =
     Metrics.gauge_fn m (p (obj ^ ".capacity")) (fun () ->
         float_of_int (Lru.Str.capacity cache))
   in
-  lru_gauges "tdesc_cache" tdesc_cache;
-  lru_gauges "known_paths" known_paths;
+  lru_gauges "tdesc_cache" sl.sl_tdesc_cache;
+  lru_gauges "known_paths" sl.sl_known_paths;
   Metrics.gauge_fn m (p "events.dropped") (fun () ->
       float_of_int (Ring.dropped event_log));
   let ck name f =
     Metrics.gauge_fn m (p ("checker." ^ name)) (fun () ->
-        float_of_int (f (Checker.stats checker)))
+        float_of_int (f (Checker.stats sl.sl_checker)))
   in
   ck "checks" (fun s -> s.Checker.checks);
   ck "cache_hits" (fun s -> s.Checker.cache_hits);
@@ -1225,7 +1207,12 @@ let bind_metrics m ~addr ~tdesc_cache ~known_paths ~event_log ~checker =
   ck "top_hits" (fun s -> s.Checker.top_hits);
   ck "top_computes" (fun s -> s.Checker.top_computes);
   ck "invalidated" (fun s -> s.Checker.invalidated);
-  ck "resolver_misses" (fun s -> s.Checker.resolver_misses);
+  ck "resolver_misses" (fun s -> s.Checker.resolver_misses)
+
+(* Per-outcome counters under [peer.<addr>.*]; [Metrics.counter] is
+   get-or-create, so binding them never disturbs a live peer. *)
+let event_counters m ~addr =
+  let p name = Printf.sprintf "peer.%s.%s" addr name in
   {
     mc_delivered = Metrics.counter m (p "delivered");
     mc_rejected = Metrics.counter m (p "rejected");
@@ -1255,8 +1242,7 @@ let bind_wire_metrics m ~addr =
    [create]; the scale driver calls it once and hands the block to every
    session it spawns. *)
 let create_shared ?(config = Config.strict) ?(tdesc_cache_capacity = 512)
-    ?(known_paths_capacity = 512) ?checker_cache_capacity
-    ?(handle_table_capacity = 512) ?(shards = 1) () =
+    ?checker_cache_capacity ?(handle_table_capacity = 512) ?(shards = 1) () =
   if shards < 1 then invalid_arg "Peer.create_shared: shards must be >= 1";
   let reg = Registry.create () in
   (* Capacity-aware per-shard sizing: the block-wide cache budget is
@@ -1281,8 +1267,7 @@ let create_shared ?(config = Config.strict) ?(tdesc_cache_capacity = 512)
               (* No bare binding: serve the newest version-pinned entry, so
                  nested references inside pinned envelopes resolve. *)
               match Hashtbl.find_opt desc_versions key with
-              | Some v ->
-                  Lru.Str.find tdesc_cache (Printf.sprintf "%s@v%d" key v)
+              | Some v -> Lru.Str.find tdesc_cache (versioned_key key v)
               | None -> None))
     in
     let checker =
@@ -1293,7 +1278,8 @@ let create_shared ?(config = Config.strict) ?(tdesc_cache_capacity = 512)
     {
       sl_tdesc_cache = tdesc_cache;
       sl_checker = checker;
-      sl_known_paths = Lru.Str.create ~capacity:(per known_paths_capacity) ();
+      (* Advertised download paths: a fixed 512-entry block budget. *)
+      sl_known_paths = Lru.Str.create ~capacity:(per 512) ();
       sl_px = Proxy.create_context reg checker;
       sl_desc_versions = desc_versions;
       sl_ht_pool = Queue.create ();
@@ -1363,43 +1349,20 @@ let shared_reuse_rate sh =
   in
   if total = 0 then 0. else float_of_int hits /. float_of_int total
 
-let create ?(mode = Optimistic) ?(codec = Envelope.Binary)
-    ?(config = Config.strict) ?metrics:m
-    ?(tdesc_cache_capacity = 512) ?(known_paths_capacity = 512)
-    ?(event_log_capacity = 4096) ?checker_cache_capacity
+let create ?(mode = Optimistic) ?(codec = Envelope.Binary) ?metrics:m
+    ?(event_log_capacity = 4096)
     ?(request_timeout_ms = default_request_timeout_ms)
     ?(fetch_retries = 0) ?(fetch_backoff_ms = 250.) ?(handles = false)
-    ?batch_bytes ?(tdesc_binary = false) ?(handle_table_capacity = 512)
-    ?(share_inflight = true) ?shared ?net:network ?transport addr =
-  (* Exactly one of [~net] (the historical simulated-network form, kept
-     so the deterministic suites construct peers unchanged) or
-     [~transport] (any backend). *)
-  let tr =
-    match (network, transport) with
-    | Some n, None -> Transport.of_net n
-    | None, Some tr -> tr
-    | Some _, Some _ ->
-        invalid_arg "Peer.create: pass either ~net or ~transport, not both"
-    | None, None -> invalid_arg "Peer.create: a ~net or ~transport is required"
-  in
-  let sh =
-    match shared with
-    | Some sh -> sh
-    | None ->
-        create_shared ~config ~tdesc_cache_capacity ~known_paths_capacity
-          ?checker_cache_capacity ~handle_table_capacity ()
-  in
+    ?batch_bytes ?(tdesc_binary = false) ?(share_inflight = true) ?shared
+    ~transport addr =
+  let sh = match shared with Some sh -> sh | None -> create_shared () in
   let sl = slot_of sh addr in
   let event_log = Ring.create ~capacity:event_log_capacity () in
   let m = match m with Some m -> m | None -> Metrics.create () in
-  let evt_ctrs =
-    bind_metrics m ~addr ~tdesc_cache:sl.sl_tdesc_cache
-      ~known_paths:sl.sl_known_paths ~event_log ~checker:sl.sl_checker
-  in
   let t =
     {
       addr;
-      tr;
+      tr = transport;
       ep = None;
       sh;
       sl;
@@ -1419,12 +1382,12 @@ let create ?(mode = Optimistic) ?(codec = Envelope.Binary)
       share_inflight;
       event_log;
       metrics = m;
-      evt_ctrs;
+      evt_ctrs = event_counters m ~addr;
       request_timeout_ms;
       fetch_retries;
       fetch_backoff_ms;
       mirror_provider = None;
-      gossip_handler = None;
+      gossip_handler = (fun ~src:_ ~kind:_ ~body:_ -> ());
       handles;
       batch_bytes;
       tdesc_binary;
@@ -1432,11 +1395,15 @@ let create ?(mode = Optimistic) ?(codec = Envelope.Binary)
       h_recv = Hashtbl.create 8;
       parked = Hashtbl.create 8;
       batches = Hashtbl.create 8;
-      piggyback_provider = None;
+      piggyback_provider = (fun ~dst:_ -> []);
       wire_ctrs = bind_wire_metrics m ~addr;
     }
   in
-  t.ep <- Some (Transport.add_endpoint tr addr ~handler:(fun ~src msg -> handle t ~src msg));
+  t.ep <-
+    Some
+      (Transport.add_endpoint transport addr ~handler:(fun ~src msg ->
+           handle t ~src msg));
+  bind_gauges m ~addr sl event_log;
   t
 
 let record_loaded_version t asm =
@@ -1446,12 +1413,13 @@ let record_loaded_version t asm =
   | Some prev when prev >= v -> ()
   | _ -> Hashtbl.replace t.sh.sh_loaded_versions key v
 
-let publish_assembly t asm =
+let install_assembly t asm =
   Assembly.load t.sh.sh_reg asm;
-  record_loaded_version t asm;
-  let path =
-    Repository.path_for ~host:t.addr ~assembly:asm.Assembly.asm_name
-  in
+  record_loaded_version t asm
+
+let publish_assembly t asm =
+  install_assembly t asm;
+  let path = Repository.path_for ~host:t.addr ~assembly:asm.Assembly.asm_name in
   Repository.add t.sh.sh_repo ~path asm;
   Lru.Str.put t.sl.sl_known_paths (lc asm.Assembly.asm_name) path
 
@@ -1473,10 +1441,6 @@ let publish_assembly_cas ?expect t asm =
         ve.Repository.ve_path;
       Ok ve
 
-let install_assembly t asm =
-  Assembly.load t.sh.sh_reg asm;
-  record_loaded_version t asm
-
 let serve_assembly t ?path asm =
   let path =
     match path with
@@ -1491,8 +1455,8 @@ let serve_assembly t ?path asm =
 (* ---------------------------------------------------------------- *)
 
 let set_mirror_provider t f = t.mirror_provider <- Some f
-let set_gossip_handler t f = t.gossip_handler <- Some f
-let set_piggyback_provider t f = t.piggyback_provider <- Some f
+let set_gossip_handler t f = t.gossip_handler <- f
+let set_piggyback_provider t f = t.piggyback_provider <- f
 
 let send_gossip t ~dst ~kind ~body =
   send t ~dst (Message.Gossip { kind; body })
@@ -1564,9 +1528,7 @@ let flush_batch t ~dst =
       Hashtbl.remove t.batches dst;
       let parts = List.rev bb.bb_parts in
       if parts <> [] then begin
-        let piggyback =
-          match t.piggyback_provider with Some f -> f ~dst | None -> []
-        in
+        let piggyback = t.piggyback_provider ~dst in
         let msg = Message.Obj_batch { frame = Bf.encode { Bf.parts; piggyback } } in
         Metrics.incr t.wire_ctrs.mc_batch_messages;
         Metrics.incr ~by:(List.length parts) t.wire_ctrs.mc_batch_envelopes;
@@ -1677,12 +1639,7 @@ let enqueue_part t ~dst ~budget envelope tdescs assemblies =
   end
 
 let send_value t ~dst value =
-  let env =
-    Envelope.make t.sh.sh_reg ~codec:t.codec
-      ~version_of:(fun ~assembly -> assembly_version t ~assembly)
-      ~download_path:(fun ~assembly -> download_path t ~assembly)
-      value
-  in
+  let env = make_envelope t value in
   let envelope = encode_envelope t ~dst env in
   let tdescs, assemblies =
     match t.peer_mode with
@@ -1762,7 +1719,11 @@ let export t value =
 
 (* Synchronous remote invocation used by remote proxies. *)
 let remote_invoke t ~host ~target ~meth args =
-  let env = make_args_envelope t args in
+  let env =
+    make_envelope t
+      (Value.Varr
+         { Value.elem_ty = Ty.Named "object"; items = Array.of_list args })
+  in
   let token = fresh_token t in
   let outcome = ref None in
   Hashtbl.replace t.invoke_conts token (fun r -> outcome := Some r);
@@ -1790,11 +1751,7 @@ let acquire t rref ~interest =
       | Some interest_d -> (
           (* 2. the rules check. *)
           match Checker.check t.sl.sl_checker ~actual:actual_d ~interest:interest_d with
-          | Checker.Not_conformant fs ->
-              Error
-                (match fs with
-                | f :: _ -> f.Checker.message
-                | [] -> "not conformant")
+          | Checker.Not_conformant fs -> Error (failure_message fs)
           | Checker.Conformant mapping ->
               (* 3. a remote dynamic proxy translating client-side. *)
               let px_invoke name args =

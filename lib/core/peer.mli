@@ -52,12 +52,12 @@ type shared
 (** The flyweight block: the type/code side of a peer — class registry,
     served-assembly repository, type-description cache, conformance
     checker (with its verdict cache), advertised-path cache, proxy
-    context and the receiver handle-table pool. A classic {!create}
-    allocates a private block (historical behavior, bit-identical); the
-    scale driver ([pti_scale]) allocates {e one} block and threads it
-    through 10^5–10^6 lightweight sessions so this state is paid for
-    once per process. Conversation state (interests, pending exchanges,
-    event log, batches, wire counters) is never shared.
+    context and the receiver handle-table pool. Only {!create_shared}
+    shapes a block; {!create} without [~shared] takes one with every
+    default. The scale driver ([pti_scale]) allocates {e one} block and
+    threads it through 10^5–10^6 lightweight sessions so this state is
+    paid for once per process. Conversation state (interests, pending
+    exchanges, event log, batches, wire counters) is never shared.
 
     The cache side of the block is {e sharded} by destination address:
     [create_shared ~shards:k] splits the description cache, checker
@@ -72,10 +72,13 @@ type shared
     layout. *)
 
 val create_shared : ?config:Pti_conformance.Config.t ->
-  ?tdesc_cache_capacity:int -> ?known_paths_capacity:int ->
-  ?checker_cache_capacity:int -> ?handle_table_capacity:int ->
-  ?shards:int -> unit -> shared
-(** Same defaults as {!create}'s corresponding optional arguments.
+  ?tdesc_cache_capacity:int -> ?checker_cache_capacity:int ->
+  ?handle_table_capacity:int -> ?shards:int -> unit -> shared
+(** [config] (default strict) is the checkers' rule set. Every cache is
+    bounded: descriptions by [tdesc_cache_capacity] (default 512),
+    verdicts by [checker_cache_capacity] ({!Pti_conformance.Checker}'s
+    default), advertised download paths by 512, and each per-link
+    receiver handle table by [handle_table_capacity] (default 512).
     [shards] (default 1) must be >= 1; the cache capacities are
     block-wide budgets split evenly across shards (ceiling division,
     floor 1 entry), so raising [shards] never raises the block's total
@@ -124,29 +127,19 @@ val release_handle_tables : t -> unit
     correspondent draws a table from the pool again. *)
 
 val create : ?mode:mode -> ?codec:Pti_serial.Envelope.codec ->
-  ?config:Pti_conformance.Config.t -> ?metrics:Pti_obs.Metrics.t ->
-  ?tdesc_cache_capacity:int -> ?known_paths_capacity:int ->
-  ?event_log_capacity:int -> ?checker_cache_capacity:int ->
+  ?metrics:Pti_obs.Metrics.t -> ?event_log_capacity:int ->
   ?request_timeout_ms:float -> ?fetch_retries:int ->
   ?fetch_backoff_ms:float -> ?handles:bool -> ?batch_bytes:int ->
-  ?tdesc_binary:bool -> ?handle_table_capacity:int ->
-  ?share_inflight:bool -> ?shared:shared ->
-  ?net:Message.t Pti_net.Net.t ->
-  ?transport:Message.t Pti_transport.Transport.t -> string -> t
-(** [create ~net address] (or [create ~transport address]) registers the
-    peer on the network. Exactly one of [net] / [transport] is required:
-    [~net] is the historical simulated-network form (internally wrapped
-    in a sim {!Pti_transport.Transport.t}, bit-identical behavior);
-    [~transport] accepts any backend — the same peer then runs over the
-    simulator, Unix-domain sockets or TCP unchanged. Defaults:
-    optimistic mode, binary payload codec, strict conformance rules.
-
-    Every cache the peer keeps is bounded and observable: the type
-    description cache (default 512 entries), the advertised
-    download-path cache (512), the event log (ring of 4096) and the
-    conformance verdict cache ({!Pti_conformance.Checker.create}'s
-    default). The peer reports through [metrics] (fresh registry when
-    omitted) under [peer.<address>.*] names.
+  ?tdesc_binary:bool -> ?share_inflight:bool -> ?shared:shared ->
+  transport:Message.t Pti_transport.Transport.t -> string -> t
+(** [create ~transport address] registers the peer on any transport
+    backend: the simulator ([Transport.of_net net]), Unix-domain sockets
+    or TCP. Defaults: optimistic mode, binary payload codec, a private
+    [create_shared ()] block, an event log ring of
+    [event_log_capacity] (4096). The peer reports through [metrics]
+    (fresh registry when omitted) under [peer.<address>.*] names.
+    @raise Invalid_argument when [address] is already registered on the
+    transport; [metrics] is then left untouched.
 
     [request_timeout_ms] (default 10000) bounds how long a tdesc or
     assembly subprotocol request waits for its reply before the pipeline
@@ -161,8 +154,7 @@ val create : ?mode:mode -> ?codec:Pti_serial.Envelope.codec ->
     same-destination object sends within one simulation instant into
     {!Message.Obj_batch} frames of roughly that many payload bytes;
     [tdesc_binary] requests the compact binary type-description codec
-    in {!Message.Tdesc_request}s; [handle_table_capacity] (default 512)
-    bounds each per-link receiver handle table.
+    in {!Message.Tdesc_request}s.
 
     [share_inflight:false] disables the in-flight fetch dedup guards —
     reintroducing the historical fan-out bug (one tdesc probe and one
@@ -170,21 +162,14 @@ val create : ?mode:mode -> ?codec:Pti_serial.Envelope.codec ->
     checker's known-bug regression can assert it finds them. Leave it
     at the default [true] everywhere else.
 
-    [shared] threads an existing flyweight block through this peer
-    instead of allocating a private one; the block-shaping arguments
-    ([config], [tdesc_cache_capacity], [known_paths_capacity],
-    [checker_cache_capacity], [handle_table_capacity]) are then ignored
-    — the block was already shaped by {!create_shared}. *)
+    [shared] threads a flyweight block built by {!create_shared} through
+    this peer instead of allocating a private one. *)
 
 val address : t -> string
 val registry : t -> Registry.t
 val checker : t -> Pti_conformance.Checker.t
 val proxy_context : t -> Pti_proxy.Dynamic_proxy.context
 val mode : t -> mode
-
-val net : t -> Message.t Pti_net.Net.t
-(** The wrapped simulated network.
-    @raise Invalid_argument on a socket-backed peer — use {!transport}. *)
 
 val transport : t -> Message.t Pti_transport.Transport.t
 (** The transport fabric the peer drives (any backend). *)

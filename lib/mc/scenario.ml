@@ -2,6 +2,7 @@ module Net = Pti_net.Net
 module Sim = Pti_net.Sim
 module Stats = Pti_net.Stats
 module Trace = Pti_net.Trace
+module Transport = Pti_transport.Transport
 module Peer = Pti_core.Peer
 module Message = Pti_core.Message
 module Checker = Pti_conformance.Checker
@@ -201,11 +202,13 @@ let combine_fingerprints fps =
 let make_two_peer ~wire spec =
   let net = Net.create ~jitter_ms:0. () in
   let trace = Trace.attach net in
+  let transport = Transport.of_net net in
   let handles = wire in
   let batch_bytes = if wire then Some 4096 else None in
   let tdesc_binary = wire in
   let mk addr ~share_inflight =
-    Peer.create ~handles ?batch_bytes ~tdesc_binary ~share_inflight ~net addr
+    Peer.create ~handles ?batch_bytes ~tdesc_binary ~share_inflight ~transport
+      addr
   in
   let alice = mk "alice" ~share_inflight:true in
   let bob = mk "bob" ~share_inflight:(not spec.s_fanout_bug) in
@@ -251,7 +254,7 @@ let make_cluster spec =
   let net = Net.create ~jitter_ms:0. () in
   let trace = Trace.attach net in
   let hosts = List.init spec.s_peers (Printf.sprintf "n%d") in
-  let cl = Cl.create ~factor:2 ~seed:17L ~net hosts in
+  let cl = Cl.create ~factor:2 ~seed:17L ~transport:(Transport.of_net net) hosts in
   let sender = Cl.peer cl (List.hd hosts) in
   let receiver_addr = List.nth hosts (List.length hosts - 1) in
   let receiver = Cl.peer cl receiver_addr in
@@ -319,8 +322,9 @@ let make_cluster spec =
 let make_evolution spec =
   let net = Net.create ~jitter_ms:0. () in
   let trace = Trace.attach net in
-  let alice = Peer.create ~net "alice" in
-  let bob = Peer.create ~net "bob" in
+  let transport = Transport.of_net net in
+  let alice = Peer.create ~transport "alice" in
+  let bob = Peer.create ~transport "bob" in
   let objects = spec.s_objects in
   let sim = Net.sim net in
   let v1 = Workload.family ~index:0 ~flavor:Workload.Conformant in

@@ -98,6 +98,7 @@ let run ?metrics cfg =
   validate cfg;
   let m = match metrics with Some m -> m | None -> Metrics.create () in
   let net : Message.t Net.t = Net.create ~seed:cfg.seed ~metrics:m () in
+  let transport = Pti_transport.Transport.of_net net in
   let sim = Net.sim net in
   let master = Splitmix.create cfg.seed in
   let rng_timeline = Splitmix.split master in
@@ -115,7 +116,7 @@ let run ?metrics cfg =
   let shared = Peer.create_shared ~shards:cfg.shards () in
   let shards =
     Array.init cfg.shards (fun i ->
-        Peer.create ~net ~metrics:m ~shared ~handles:true
+        Peer.create ~transport ~metrics:m ~shared ~handles:true
           ~event_log_capacity:64 (shard_addr i))
   in
   Peer.install_assembly shards.(0) (Workload.interest_assembly ());
@@ -127,7 +128,7 @@ let run ?metrics cfg =
   let pubs =
     Array.init cfg.families (fun i ->
         let p =
-          Peer.create ~net ~metrics:m ~handles:true ~event_log_capacity:64
+          Peer.create ~transport ~metrics:m ~handles:true ~event_log_capacity:64
             (pub_addr i)
         in
         Peer.publish_assembly p (Workload.family ~index:i ~flavor:flavors.(i));
@@ -279,7 +280,7 @@ let run ?metrics cfg =
       Sim.schedule_at sim ~label:(act "flash-crowd") ~at (fun () ->
           let idx = cfg.families in
           let pub =
-            Peer.create ~net ~metrics:m ~handles:true ~event_log_capacity:64
+            Peer.create ~transport ~metrics:m ~handles:true ~event_log_capacity:64
               (pub_addr idx)
           in
           Peer.publish_assembly pub

@@ -1,6 +1,5 @@
 open Pti_cts
 module Peer = Pti_core.Peer
-module Net = Pti_net.Net
 module Metrics = Pti_obs.Metrics
 
 type subscription = {
@@ -12,7 +11,6 @@ type subscription = {
 }
 
 type t = {
-  net : Pti_core.Message.t Net.t;
   broker_peer : Peer.t;
   mutable publishers : Peer.t list;
   mutable subs : subscription list;
@@ -21,11 +19,10 @@ type t = {
   m_delivered : Metrics.counter;
 }
 
-let create ?mode ?metrics ~net ~broker () =
-  let broker_peer = Peer.create ?mode ?metrics ~net broker in
+let create ?mode ?metrics ~transport ~broker () =
+  let broker_peer = Peer.create ?mode ?metrics ~transport broker in
   let m = match metrics with Some m -> m | None -> Peer.metrics broker_peer in
   {
-    net;
     broker_peer;
     publishers = [];
     subs = [];
@@ -85,4 +82,4 @@ let publish t publisher event =
 
 let subscriptions t = t.subs
 let deliveries sub = List.rev sub.sub_received
-let run t = Net.run t.net
+let run t = Peer.run t.broker_peer

@@ -16,7 +16,7 @@
 open Pti_cts
 
 type t
-(** A pub/sub domain bound to one simulated network. *)
+(** A pub/sub domain bound to one transport. *)
 
 type subscription = {
   sub_peer : Pti_core.Peer.t;
@@ -28,8 +28,9 @@ type subscription = {
 }
 
 val create : ?mode:Pti_core.Peer.mode -> ?metrics:Pti_obs.Metrics.t ->
-  net:Pti_core.Message.t Pti_net.Net.t -> broker:string -> unit -> t
-(** Creates the broker peer at the given address. When [metrics] is given
+  transport:Pti_core.Message.t Pti_transport.Transport.t ->
+  broker:string -> unit -> t
+(** Creates the broker peer at the given address on [transport]. When [metrics] is given
     the domain reports [tps.published] (publish calls), [tps.fanout]
     (per-subscriber sends) and [tps.delivered] (conformant events recorded
     on a subscription) counters there, and the broker peer shares the same
@@ -54,9 +55,8 @@ val publish : t -> Pti_core.Peer.t -> Value.value -> unit
 
 val unsubscribe : t -> subscription -> unit
 (** Stop both the fan-out to this subscriber and the local interest
-    matching. Idempotent. Events already in flight on the simulated
-    network may still arrive at the peer but are no longer recorded or
-    handed to the handler. *)
+    matching. Idempotent. Events already in flight may still arrive at
+    the peer but are no longer recorded or handed to the handler. *)
 
 val subscriptions : t -> subscription list
 (** Active subscriptions only. *)
@@ -65,3 +65,5 @@ val deliveries : subscription -> (string * Value.value) list
 (** Chronological. *)
 
 val run : t -> unit
+(** Drive the domain's transport (through the broker peer) to
+    quiescence. *)

@@ -3,6 +3,7 @@
 open Pti_cts
 module Peer = Pti_core.Peer
 module Net = Pti_net.Net
+module Transport = Pti_transport.Transport
 module Bl = Pti_bl.Borrow_lend
 module Proxy = Pti_proxy.Dynamic_proxy
 module Demo = Pti_demo.Demo_types
@@ -12,16 +13,16 @@ let get_int = function
   | v -> Alcotest.failf "expected int, got %s" (Value.type_name v)
 
 let setup () =
-  let net = Net.create ~seed:5L () in
-  let lender = Peer.create ~net "lender" in
+  let transport = Transport.of_net (Net.create ~seed:5L ()) in
+  let lender = Peer.create ~transport "lender" in
   Peer.publish_assembly lender (Demo.printer_assembly ());
-  let borrower = Peer.create ~net "borrower" in
+  let borrower = Peer.create ~transport "borrower" in
   Peer.publish_assembly borrower (Demo.printsvc_assembly ());
   let market = Bl.create () in
-  (net, market, lender, borrower)
+  (transport, market, lender, borrower)
 
 let test_borrow_conformant_resource () =
-  let _net, market, lender, borrower = setup () in
+  let _transport, market, lender, borrower = setup () in
   let printer = Demo.make_printer (Peer.registry lender) ~label:"laser" in
   let _lending = Bl.lend market lender printer in
   match Bl.borrow market borrower ~interest:Demo.printsvc with
@@ -44,7 +45,7 @@ let test_borrow_conformant_resource () =
       Alcotest.(check bool) "inactive" false (Bl.lease_active lease)
 
 let test_capacity_enforced () =
-  let _net, market, lender, borrower = setup () in
+  let _transport, market, lender, borrower = setup () in
   let printer = Demo.make_printer (Peer.registry lender) ~label:"inkjet" in
   ignore (Bl.lend market lender ~capacity:1 printer);
   (match Bl.borrow market borrower ~interest:Demo.printsvc with
@@ -56,7 +57,7 @@ let test_capacity_enforced () =
   | Ok _ -> Alcotest.fail "capacity not enforced"
 
 let test_return_frees_capacity () =
-  let _net, market, lender, borrower = setup () in
+  let _transport, market, lender, borrower = setup () in
   let printer = Demo.make_printer (Peer.registry lender) ~label:"x" in
   ignore (Bl.lend market lender ~capacity:1 printer);
   let lease =
@@ -70,10 +71,10 @@ let test_return_frees_capacity () =
   | Error _ -> Alcotest.fail "borrow after return failed"
 
 let test_no_conformant_resource () =
-  let net = Net.create ~seed:6L () in
-  let lender = Peer.create ~net "lender" in
+  let transport = Transport.of_net (Net.create ~seed:6L ()) in
+  let lender = Peer.create ~transport "lender" in
   Peer.publish_assembly lender (Demo.trap_assembly ());
-  let borrower = Peer.create ~net "borrower" in
+  let borrower = Peer.create ~transport "borrower" in
   Peer.publish_assembly borrower (Demo.printsvc_assembly ());
   let market = Bl.create () in
   let trap = Demo.make_trap_person (Peer.registry lender) in
@@ -85,12 +86,12 @@ let test_no_conformant_resource () =
   | Ok _ -> Alcotest.fail "trap should not satisfy a printer interest"
 
 let test_picks_first_conformant_among_mixed () =
-  let net = Net.create ~seed:8L () in
-  let l1 = Peer.create ~net "l1" in
+  let transport = Transport.of_net (Net.create ~seed:8L ()) in
+  let l1 = Peer.create ~transport "l1" in
   Peer.publish_assembly l1 (Demo.trap_assembly ());
-  let l2 = Peer.create ~net "l2" in
+  let l2 = Peer.create ~transport "l2" in
   Peer.publish_assembly l2 (Demo.printer_assembly ());
-  let borrower = Peer.create ~net "borrower" in
+  let borrower = Peer.create ~transport "borrower" in
   Peer.publish_assembly borrower (Demo.printsvc_assembly ());
   let market = Bl.create () in
   ignore (Bl.lend market l1 (Demo.make_trap_person (Peer.registry l1)));
@@ -103,7 +104,7 @@ let test_picks_first_conformant_among_mixed () =
   | Error e -> Alcotest.failf "borrow failed: %a" Bl.pp_borrow_error e
 
 let test_unlend_removes_listing () =
-  let _net, market, lender, borrower = setup () in
+  let _transport, market, lender, borrower = setup () in
   let printer = Demo.make_printer (Peer.registry lender) ~label:"gone" in
   let lending = Bl.lend market lender printer in
   Alcotest.(check int) "listed" 1 (List.length (Bl.lendings market));
@@ -114,8 +115,8 @@ let test_unlend_removes_listing () =
   | Error _ | Ok _ -> Alcotest.fail "empty market should have no reasons"
 
 let test_two_borrowers_share_state () =
-  let net, market, lender, borrower = setup () in
-  let borrower2 = Peer.create ~net "borrower2" in
+  let transport, market, lender, borrower = setup () in
+  let borrower2 = Peer.create ~transport "borrower2" in
   Peer.publish_assembly borrower2 (Demo.printer_assembly ());
   let printer = Demo.make_printer (Peer.registry lender) ~label:"shared" in
   ignore (Bl.lend market lender ~capacity:2 printer);
@@ -137,7 +138,7 @@ let test_two_borrowers_share_state () =
   Alcotest.(check int) "both borrowers hit the same object" 2 n
 
 let test_lease_expiry () =
-  let net, market, lender, borrower = setup () in
+  let transport, market, lender, borrower = setup () in
   let printer = Demo.make_printer (Peer.registry lender) ~label:"timed" in
   let lending = Bl.lend market lender ~capacity:1 printer in
   let lease =
@@ -148,7 +149,9 @@ let test_lease_expiry () =
   Alcotest.(check bool) "active" true (Bl.lease_active lease);
   Alcotest.(check int) "held" 1 lending.Bl.borrowed;
   (* Advance simulated time past the lease. *)
-  Pti_net.Sim.run_until (Net.sim net) 1_000.;
+  Pti_net.Sim.run_until
+    (Net.sim (Option.get (Transport.sim_net transport)))
+    1_000.;
   Alcotest.(check bool) "expired" false (Bl.lease_active lease);
   Alcotest.(check int) "capacity freed" 0 lending.Bl.borrowed;
   (* Returning after expiry is a harmless no-op. *)
@@ -156,7 +159,7 @@ let test_lease_expiry () =
   Alcotest.(check int) "still zero" 0 lending.Bl.borrowed
 
 let test_double_return_idempotent () =
-  let _net, market, lender, borrower = setup () in
+  let _transport, market, lender, borrower = setup () in
   let printer = Demo.make_printer (Peer.registry lender) ~label:"dbl" in
   let lending = Bl.lend market lender ~capacity:1 printer in
   (match Bl.borrow market borrower ~interest:Demo.printsvc with

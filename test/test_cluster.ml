@@ -7,6 +7,7 @@ module Peer = Pti_core.Peer
 module Message = Pti_core.Message
 module Repository = Pti_core.Repository
 module Net = Pti_net.Net
+module Transport = Pti_transport.Transport
 module Sim = Pti_net.Sim
 module Stats = Pti_net.Stats
 module Metrics = Pti_obs.Metrics
@@ -18,7 +19,7 @@ module Digest = Pti_cluster.Digest
 
 let social_asm = "social-asm"
 
-let make_net () = Net.create ~seed:7L ()
+let make_transport () = Transport.of_net (Net.create ~seed:7L ())
 
 let get_string = function
   | Value.Vstring s -> s
@@ -66,8 +67,8 @@ let test_digest_decode_total () =
 let addrs3 = [ "n1"; "n2"; "n3" ]
 
 let test_membership_bootstrap () =
-  let net = make_net () in
-  let c = Cluster.create ~net addrs3 in
+  let transport = make_transport () in
+  let c = Cluster.create ~transport addrs3 in
   let n1 = Cluster.node c "n1" in
   Alcotest.(check (list string)) "roster minus self" [ "n2"; "n3" ]
     (Node.alive n1);
@@ -75,8 +76,8 @@ let test_membership_bootstrap () =
     (Option.map (fun _ -> true) (Node.status n1 "n1"))
 
 let test_crash_detected_then_heal_recovers () =
-  let net = make_net () in
-  let c = Cluster.create ~net ~probe_timeout_ms:100. [ "n1"; "n2" ] in
+  let transport = make_transport () in
+  let c = Cluster.create ~transport ~probe_timeout_ms:100. [ "n1"; "n2" ] in
   let n1 = Cluster.node c "n1" in
   Cluster.run_rounds c 2;
   Alcotest.(check (option string)) "alive while traffic flows"
@@ -102,8 +103,8 @@ let test_crash_detected_then_heal_recovers () =
 (* ---------------------------------------------------------------- *)
 
 let test_gossip_spreads_types_and_paths () =
-  let net = make_net () in
-  let c = Cluster.create ~net ~factor:1 addrs3 in
+  let transport = make_transport () in
+  let c = Cluster.create ~transport ~factor:1 addrs3 in
   Node.publish (Cluster.node c "n1") (Demo.social_assembly ());
   (* Nobody but n1 knows the social types or where their code lives. *)
   Alcotest.(check (option bool)) "n3 ignorant before gossip" None
@@ -128,11 +129,11 @@ let test_gossip_spreads_types_and_paths () =
 
 let test_gossip_is_deterministic () =
   let run () =
-    let net = make_net () in
-    let c = Cluster.create ~net ~factor:1 addrs3 in
+    let transport = make_transport () in
+    let c = Cluster.create ~transport ~factor:1 addrs3 in
     Node.publish (Cluster.node c "n1") (Demo.social_assembly ());
     Cluster.run_rounds c 4;
-    ( Stats.bytes (Net.stats net) Stats.Gossip,
+    ( Stats.bytes (Transport.stats transport) Stats.Gossip,
       List.map (fun n -> Node.digest_bytes n) (Cluster.nodes c) )
   in
   Alcotest.(check (pair int (list int))) "identical gossip traffic"
@@ -143,8 +144,8 @@ let test_gossip_is_deterministic () =
 (* ---------------------------------------------------------------- *)
 
 let test_placement_deterministic_and_sized () =
-  let net = make_net () in
-  let c = Cluster.create ~net [ "n1"; "n2"; "n3"; "n4" ] in
+  let transport = make_transport () in
+  let c = Cluster.create ~transport [ "n1"; "n2"; "n3"; "n4" ] in
   let n1 = Cluster.node c "n1" in
   let p2 = Node.placement n1 ~assembly:"some-asm" 2 in
   Alcotest.(check int) "k replicas" 2 (List.length p2);
@@ -158,8 +159,8 @@ let test_placement_deterministic_and_sized () =
     (List.for_all (fun a -> not (List.mem a p2)) p2')
 
 let test_publish_replicates () =
-  let net = make_net () in
-  let c = Cluster.create ~net ~factor:2 addrs3 in
+  let transport = make_transport () in
+  let c = Cluster.create ~transport ~factor:2 addrs3 in
   let n1 = Cluster.node c "n1" in
   let holder =
     match Node.placement n1 ~assembly:social_asm 1 with
@@ -185,8 +186,8 @@ let test_publish_replicates () =
 (* ---------------------------------------------------------------- *)
 
 let test_mirror_ranking_policy () =
-  let net = make_net () in
-  let c = Cluster.create ~net [ "n1"; "n2"; "n3" ] in
+  let transport = make_transport () in
+  let c = Cluster.create ~transport [ "n1"; "n2"; "n3" ] in
   let n1 = Cluster.node c "n1" in
   (* n2 and n3 each serve a mirror of news-asm; gossip teaches n1 both. *)
   List.iter
@@ -223,9 +224,10 @@ let test_fetch_retries_and_backoff () =
      pipeline retries under backoff, then gives up — counters tell the
      story. *)
   let net = Net.create ~seed:8L () in
-  let sender = Peer.create ~net "sender" in
+  let transport = Transport.of_net net in
+  let sender = Peer.create ~transport "sender" in
   let receiver =
-    Peer.create ~net ~request_timeout_ms:50. ~fetch_retries:2
+    Peer.create ~transport ~request_timeout_ms:50. ~fetch_retries:2
       ~fetch_backoff_ms:10. "receiver"
   in
   Peer.publish_assembly sender (Demo.social_assembly ());
@@ -240,8 +242,8 @@ let test_fetch_retries_and_backoff () =
      instant the first assembly request hits the wire. *)
   Net.on_send net (fun ~now:_ ~src:_ ~dst:_ ~category ~size:_ ~attempt:_ ->
       if category = Stats.Asm_request then
-        Net.partition net "sender" "receiver");
-  Net.run net;
+        Transport.partition transport "sender" "receiver");
+  Transport.run transport;
   Alcotest.(check int) "three attempts on the wire" 3
     (Peer.fetch_attempts receiver);
   Alcotest.(check int) "two retries" 2 (Peer.fetch_retries receiver);
@@ -278,11 +280,11 @@ let test_repository_find_by_name_deterministic () =
 (* ---------------------------------------------------------------- *)
 
 let test_failover_survives_origin_crash () =
-  let net = make_net () in
+  let transport = make_transport () in
   let metrics = Metrics.create () in
   let addrs = [ "origin"; "east"; "west"; "south" ] in
   let c =
-    Cluster.create ~net ~metrics ~factor:2 ~request_timeout_ms:200.
+    Cluster.create ~transport ~metrics ~factor:2 ~request_timeout_ms:200.
       ~probe_timeout_ms:100. addrs
   in
   let origin = Cluster.node c "origin" in

@@ -5,21 +5,22 @@ open Pti_cts
 module Peer = Pti_core.Peer
 module Message = Pti_core.Message
 module Net = Pti_net.Net
+module Transport = Pti_transport.Transport
 module Stats = Pti_net.Stats
 module Proxy = Pti_proxy.Dynamic_proxy
 module Demo = Pti_demo.Demo_types
 
-let make_net () = Net.create ~seed:7L ()
+let make_transport () = Transport.of_net (Net.create ~seed:7L ())
 
 (* A world where the sender publishes social types, the receiver registered
    an interest in its own news types. *)
 let two_peers ?mode ?codec () =
-  let net = make_net () in
-  let sender = Peer.create ?mode ?codec ~net "sender" in
-  let receiver = Peer.create ?mode ?codec ~net "receiver" in
+  let transport = make_transport () in
+  let sender = Peer.create ?mode ?codec ~transport "sender" in
+  let receiver = Peer.create ?mode ?codec ~transport "receiver" in
   Peer.publish_assembly sender (Demo.social_assembly ());
   Peer.publish_assembly receiver (Demo.news_assembly ());
-  (net, sender, receiver)
+  (transport, sender, receiver)
 
 let get_string = function
   | Value.Vstring s -> s
@@ -30,7 +31,7 @@ let get_int = function
   | v -> Alcotest.failf "expected an int, got %s" (Value.type_name v)
 
 let test_pass_by_value_conformant () =
-  let net, sender, receiver = two_peers () in
+  let transport, sender, receiver = two_peers () in
   let received = ref [] in
   Peer.register_interest receiver ~interest:Demo.news_person
     (fun ~from:_ v -> received := v :: !received);
@@ -38,7 +39,7 @@ let test_pass_by_value_conformant () =
     Demo.make_social_person (Peer.registry sender) ~name:"Alice" ~age:30
   in
   Peer.send_value sender ~dst:"receiver" alice;
-  Net.run net;
+  Transport.run transport;
   match !received with
   | [ v ] ->
       (* The proxy answers the receiver's vocabulary. *)
@@ -58,9 +59,9 @@ let test_pass_by_value_conformant () =
   | l -> Alcotest.failf "expected 1 delivery, got %d" (List.length l)
 
 let test_non_conformant_rejected_without_code_download () =
-  let net = make_net () in
-  let sender = Peer.create ~net "sender" in
-  let receiver = Peer.create ~net "receiver" in
+  let transport = make_transport () in
+  let sender = Peer.create ~transport "sender" in
+  let receiver = Peer.create ~transport "receiver" in
   Peer.publish_assembly sender (Demo.bogus_assembly ());
   Peer.publish_assembly receiver (Demo.news_assembly ());
   Peer.register_interest receiver ~interest:Demo.news_person
@@ -70,7 +71,7 @@ let test_non_conformant_rejected_without_code_download () =
       [ Value.Vstring "Mallory" ]
   in
   Peer.send_value sender ~dst:"receiver" bogus;
-  Net.run net;
+  Transport.run transport;
   (* Rejected... *)
   (match Peer.events receiver with
   | [ Peer.Rejected { type_name; _ } ] ->
@@ -80,7 +81,7 @@ let test_non_conformant_rejected_without_code_download () =
         (String.concat "; "
            (List.map (Format.asprintf "%a" Peer.pp_event) evs)));
   (* ...and, crucially, no assembly bytes moved (the optimistic saving). *)
-  let stats = Net.stats net in
+  let stats = Transport.stats transport in
   Alcotest.(check int) "no assembly requests" 0
     (Stats.messages stats Stats.Asm_request);
   Alcotest.(check int) "no assembly bytes" 0
@@ -91,9 +92,9 @@ let test_non_conformant_rejected_without_code_download () =
 
 let test_known_guid_skips_all_fetches () =
   (* Receiver already has the sender's exact assembly: no tdesc, no code. *)
-  let net = make_net () in
-  let sender = Peer.create ~net "sender" in
-  let receiver = Peer.create ~net "receiver" in
+  let transport = make_transport () in
+  let sender = Peer.create ~transport "sender" in
+  let receiver = Peer.create ~transport "receiver" in
   let asm = Demo.social_assembly () in
   Peer.publish_assembly sender asm;
   Peer.install_assembly receiver asm;
@@ -104,8 +105,8 @@ let test_known_guid_skips_all_fetches () =
     Demo.make_social_person (Peer.registry sender) ~name:"Bob" ~age:41
   in
   Peer.send_value sender ~dst:"receiver" bob;
-  Net.run net;
-  let stats = Net.stats net in
+  Transport.run transport;
+  let stats = Transport.stats transport in
   Alcotest.(check int) "no tdesc traffic" 0
     (Stats.messages stats Stats.Tdesc_request);
   Alcotest.(check int) "no asm traffic" 0
@@ -115,7 +116,7 @@ let test_known_guid_skips_all_fetches () =
   | evs -> Alcotest.failf "expected delivery, got %d events" (List.length evs)
 
 let test_second_send_uses_cached_code () =
-  let net, sender, receiver = two_peers () in
+  let transport, sender, receiver = two_peers () in
   let count = ref 0 in
   Peer.register_interest receiver ~interest:Demo.news_person
     (fun ~from:_ _ -> incr count);
@@ -123,8 +124,8 @@ let test_second_send_uses_cached_code () =
     Demo.make_social_person (Peer.registry sender) ~name:"One" ~age:1
   in
   Peer.send_value sender ~dst:"receiver" p1;
-  Net.run net;
-  let stats = Net.stats net in
+  Transport.run transport;
+  let stats = Transport.stats transport in
   let asm_after_first = Stats.messages stats Stats.Asm_request in
   let tdesc_after_first = Stats.messages stats Stats.Tdesc_request in
   Alcotest.(check bool) "first send downloaded code" true (asm_after_first > 0);
@@ -132,7 +133,7 @@ let test_second_send_uses_cached_code () =
     Demo.make_social_person (Peer.registry sender) ~name:"Two" ~age:2
   in
   Peer.send_value sender ~dst:"receiver" p2;
-  Net.run net;
+  Transport.run transport;
   Alcotest.(check int) "no new assembly fetch"
     asm_after_first
     (Stats.messages stats Stats.Asm_request);
@@ -148,10 +149,10 @@ let test_repeat_traffic_cache_counters () =
   let module Workload = Pti_demo.Workload in
   let module Checker = Pti_conformance.Checker in
   let module Metrics = Pti_obs.Metrics in
-  let net = make_net () in
+  let transport = make_transport () in
   let metrics = Metrics.create () in
-  let sender = Peer.create ~net ~metrics "sender" in
-  let receiver = Peer.create ~net ~metrics "receiver" in
+  let sender = Peer.create ~transport ~metrics "sender" in
+  let receiver = Peer.create ~transport ~metrics "receiver" in
   Peer.install_assembly receiver (Demo.news_assembly ());
   Peer.register_interest receiver ~interest:Demo.news_person
     (fun ~from:_ _ -> ());
@@ -167,13 +168,13 @@ let test_repeat_traffic_cache_counters () =
         ~age:n
     in
     Peer.send_value sender ~dst:"receiver" v;
-    Net.run net
+    Transport.run transport
   in
   (* Warm-up: one object of each of the three types pulls code once. *)
   for i = 0 to 2 do
     send i i
   done;
-  let s = Net.stats net in
+  let s = Transport.stats transport in
   let code_bytes () =
     Stats.bytes s Stats.Tdesc_request
     + Stats.bytes s Stats.Tdesc_reply
@@ -207,9 +208,9 @@ let test_repeat_traffic_cache_counters () =
 let test_new_type_preserves_unrelated_verdicts () =
   let module Workload = Pti_demo.Workload in
   let module Checker = Pti_conformance.Checker in
-  let net = make_net () in
-  let sender = Peer.create ~net "sender" in
-  let receiver = Peer.create ~net "receiver" in
+  let transport = make_transport () in
+  let sender = Peer.create ~transport "sender" in
+  let receiver = Peer.create ~transport "receiver" in
   Peer.install_assembly receiver (Demo.news_assembly ());
   Peer.register_interest receiver ~interest:Demo.news_person
     (fun ~from:_ _ -> ());
@@ -221,7 +222,7 @@ let test_new_type_preserves_unrelated_verdicts () =
         ~age:n
     in
     Peer.send_value sender ~dst:"receiver" v;
-    Net.run net
+    Transport.run transport
   in
   Peer.publish_assembly sender
     (Workload.family ~index:0 ~flavor:Workload.Conformant);
@@ -244,9 +245,9 @@ let test_new_type_preserves_unrelated_verdicts () =
 
 (* The event log is a bounded ring now. *)
 let test_event_log_bounded () =
-  let net = make_net () in
-  let sender = Peer.create ~net "sender" in
-  let receiver = Peer.create ~net ~event_log_capacity:4 "receiver" in
+  let transport = make_transport () in
+  let sender = Peer.create ~transport "sender" in
+  let receiver = Peer.create ~transport ~event_log_capacity:4 "receiver" in
   Peer.publish_assembly sender (Demo.social_assembly ());
   Peer.install_assembly receiver (Demo.news_assembly ());
   Peer.register_interest receiver ~interest:Demo.news_person
@@ -258,7 +259,7 @@ let test_event_log_bounded () =
         ~age:n
     in
     Peer.send_value sender ~dst:"receiver" v;
-    Net.run net
+    Transport.run transport
   done;
   let events = Peer.events receiver in
   Alcotest.(check int) "ring keeps the last 4" 4 (List.length events);
@@ -278,7 +279,7 @@ let test_event_log_bounded () =
   Alcotest.(check int) "dropped reset" 0 (Peer.events_dropped receiver)
 
 let test_eager_mode_ships_everything () =
-  let net, sender, receiver = two_peers ~mode:Peer.Eager () in
+  let transport, sender, receiver = two_peers ~mode:Peer.Eager () in
   let count = ref 0 in
   Peer.register_interest receiver ~interest:Demo.news_person
     (fun ~from:_ _ -> incr count);
@@ -286,9 +287,9 @@ let test_eager_mode_ships_everything () =
     Demo.make_social_person (Peer.registry sender) ~name:"Eve" ~age:9
   in
   Peer.send_value sender ~dst:"receiver" p;
-  Net.run net;
+  Transport.run transport;
   Alcotest.(check int) "delivered" 1 !count;
-  let stats = Net.stats net in
+  let stats = Transport.stats transport in
   (* Everything inline: no subprotocol round-trips at all... *)
   Alcotest.(check int) "no tdesc round-trips" 0
     (Stats.messages stats Stats.Tdesc_request);
@@ -296,22 +297,22 @@ let test_eager_mode_ships_everything () =
     (Stats.messages stats Stats.Asm_request);
   (* ...but the object message is much fatter than the optimistic one. *)
   let eager_bytes = Stats.bytes stats Stats.Object_msg in
-  let net2, sender2, receiver2 = two_peers () in
+  let transport2, sender2, receiver2 = two_peers () in
   Peer.register_interest receiver2 ~interest:Demo.news_person
     (fun ~from:_ _ -> ());
   let p2 =
     Demo.make_social_person (Peer.registry sender2) ~name:"Eve" ~age:9
   in
   Peer.send_value sender2 ~dst:"receiver" p2;
-  Net.run net2;
+  Transport.run transport2;
   let optimistic_obj_bytes =
-    Stats.bytes (Net.stats net2) Stats.Object_msg
+    Stats.bytes (Transport.stats transport2) Stats.Object_msg
   in
   Alcotest.(check bool) "eager object message is heavier" true
     (eager_bytes > 2 * optimistic_obj_bytes)
 
 let test_soap_codec_roundtrip_through_protocol () =
-  let net, sender, receiver = two_peers ~codec:Pti_serial.Envelope.Soap () in
+  let transport, sender, receiver = two_peers ~codec:Pti_serial.Envelope.Soap () in
   let received = ref None in
   Peer.register_interest receiver ~interest:Demo.news_person
     (fun ~from:_ v -> received := Some v);
@@ -319,7 +320,7 @@ let test_soap_codec_roundtrip_through_protocol () =
     Demo.make_social_person (Peer.registry sender) ~name:"Carol" ~age:27
   in
   Peer.send_value sender ~dst:"receiver" carol;
-  Net.run net;
+  Transport.run transport;
   match !received with
   | Some v ->
       let name =
@@ -329,7 +330,7 @@ let test_soap_codec_roundtrip_through_protocol () =
   | None -> Alcotest.fail "no delivery via SOAP codec"
 
 let test_nested_object_graph_travels () =
-  let net, sender, receiver = two_peers () in
+  let transport, sender, receiver = two_peers () in
   Peer.register_interest receiver ~interest:Demo.news_event
     (fun ~from:_ _ -> ());
   let reg = Peer.registry sender in
@@ -338,7 +339,7 @@ let test_nested_object_graph_travels () =
     Demo.make_social_event reg ~headline:"Types unify!" ~author ~priority:1
   in
   Peer.send_value sender ~dst:"receiver" event;
-  Net.run net;
+  Transport.run transport;
   match Peer.events receiver with
   | [ Peer.Delivered { value; _ } ] ->
       let summary =
@@ -358,7 +359,7 @@ let test_nested_object_graph_travels () =
            (List.map (Format.asprintf "%a" Peer.pp_event) evs))
 
 let test_cycle_in_object_graph () =
-  let net, sender, receiver = two_peers () in
+  let transport, sender, receiver = two_peers () in
   let received = ref None in
   Peer.register_interest receiver ~interest:Demo.news_person
     (fun ~from:_ v -> received := Some v);
@@ -368,7 +369,7 @@ let test_cycle_in_object_graph () =
   ignore (Eval.call reg a "setspouse" [ b ]);
   ignore (Eval.call reg b "setspouse" [ a ]);
   Peer.send_value sender ~dst:"receiver" a;
-  Net.run net;
+  Transport.run transport;
   match !received with
   | Some v ->
       let rreg = Peer.registry receiver in
@@ -384,9 +385,9 @@ let test_cycle_in_object_graph () =
   | None -> Alcotest.fail "cyclic graph not delivered"
 
 let test_missing_assembly_fails_gracefully () =
-  let net = make_net () in
-  let sender = Peer.create ~net "sender" in
-  let receiver = Peer.create ~net "receiver" in
+  let transport = make_transport () in
+  let sender = Peer.create ~transport "sender" in
+  let receiver = Peer.create ~transport "receiver" in
   (* Sender loads the social types but does NOT publish the assembly. *)
   Peer.install_assembly sender (Demo.social_assembly ());
   Peer.publish_assembly receiver (Demo.news_assembly ());
@@ -394,7 +395,7 @@ let test_missing_assembly_fails_gracefully () =
     (fun ~from:_ _ -> Alcotest.fail "must not deliver without code");
   let p = Demo.make_social_person (Peer.registry sender) ~name:"X" ~age:0 in
   Peer.send_value sender ~dst:"receiver" p;
-  Net.run net;
+  Transport.run transport;
   let failures =
     List.filter
       (function Peer.Load_failed _ | Peer.Decode_failed _ -> true | _ -> false)
@@ -407,7 +408,7 @@ let test_burst_of_new_type_objects () =
      only run afterwards: both reception pipelines run concurrently. Both
      must deliver; the duplicated in-flight fetches are a known cost of
      optimism (the assembly load is idempotent for identical bytes). *)
-  let net, sender, receiver = two_peers () in
+  let transport, sender, receiver = two_peers () in
   let count = ref 0 in
   Peer.register_interest receiver ~interest:Demo.news_person
     (fun ~from:_ _ -> incr count);
@@ -416,7 +417,7 @@ let test_burst_of_new_type_objects () =
     (Demo.make_social_person reg ~name:"B1" ~age:1);
   Peer.send_value sender ~dst:"receiver"
     (Demo.make_social_person reg ~name:"B2" ~age:2);
-  Net.run net;
+  Transport.run transport;
   Alcotest.(check int) "both delivered" 2 !count;
   let failures =
     List.filter
@@ -427,7 +428,7 @@ let test_burst_of_new_type_objects () =
   Alcotest.(check (list pass)) "no failures" [] failures
 
 let test_interest_listing_and_removal () =
-  let net, sender, receiver = two_peers () in
+  let transport, sender, receiver = two_peers () in
   let hits = ref 0 in
   let id =
     Peer.register_interest_id receiver ~interest:Demo.news_person
@@ -437,25 +438,26 @@ let test_interest_listing_and_removal () =
     (Peer.interests receiver);
   Peer.send_value sender ~dst:"receiver"
     (Demo.make_social_person (Peer.registry sender) ~name:"X" ~age:0);
-  Net.run net;
+  Transport.run transport;
   Alcotest.(check int) "hit while registered" 1 !hits;
   Peer.unregister_interest receiver id;
   Peer.unregister_interest receiver id;
   Alcotest.(check (list string)) "unlisted" [] (Peer.interests receiver);
   Peer.send_value sender ~dst:"receiver"
     (Demo.make_social_person (Peer.registry sender) ~name:"Y" ~age:0);
-  Net.run net;
+  Transport.run transport;
   Alcotest.(check int) "no hit after removal" 1 !hits
 
 let test_protocol_over_lossy_reliable_network () =
   (* The whole Figure-1 pipeline (object, tdesc round-trips, assembly
      download) completes over a 25%-lossy link once the ARQ layer is on. *)
-  let net =
-    Net.create ~drop_rate:0.25 ~reliability:Net.default_reliability ~seed:13L
-      ()
+  let transport =
+    Transport.of_net
+      (Net.create ~drop_rate:0.25 ~reliability:Net.default_reliability
+         ~seed:13L ())
   in
-  let sender = Peer.create ~net "sender" in
-  let receiver = Peer.create ~net "receiver" in
+  let sender = Peer.create ~transport "sender" in
+  let receiver = Peer.create ~transport "receiver" in
   Peer.publish_assembly sender (Demo.social_assembly ());
   Peer.publish_assembly receiver (Demo.news_assembly ());
   let count = ref 0 in
@@ -466,28 +468,30 @@ let test_protocol_over_lossy_reliable_network () =
       (Demo.make_social_person (Peer.registry sender)
          ~name:(Printf.sprintf "L%d" i) ~age:i)
   done;
-  Net.run net;
+  Transport.run transport;
   Alcotest.(check int) "all delivered despite loss" 5 !count;
   Alcotest.(check bool) "loss actually happened" true
-    (Net.dropped_messages net > 0);
+    (Transport.dropped_messages transport > 0);
   Alcotest.(check bool) "retransmissions happened" true
-    (Net.retransmissions net > 0)
+    (Transport.retransmissions transport > 0)
 
 let test_request_timeout_degrades_to_rejection () =
   (* The object arrives, then the link dies: the description request is
      lost and (without an ARQ layer) never answered. The request timeout
      turns the stalled pipeline into a rejection. *)
-  let net, sender, receiver = two_peers () in
+  let transport, sender, receiver = two_peers () in
   Peer.register_interest receiver ~interest:Demo.news_person
     (fun ~from:_ _ -> Alcotest.fail "must not deliver without descriptions");
   Peer.send_value sender ~dst:"receiver"
     (Demo.make_social_person (Peer.registry sender) ~name:"T" ~age:1);
   (* Let the envelope land (~1.3 ms), then cut the link. *)
-  Pti_net.Sim.run_until (Net.sim net) 2.;
-  Net.partition net "sender" "receiver";
-  Net.run net;
+  Pti_net.Sim.run_until
+    (Net.sim (Option.get (Transport.sim_net transport)))
+    2.;
+  Transport.partition transport "sender" "receiver";
+  Transport.run transport;
   Alcotest.(check bool) "timeout advanced the clock" true
-    (Net.now_ms net >= 10_000.);
+    (Transport.now_ms transport >= 10_000.);
   match
     List.filter (function Peer.Rejected _ -> true | _ -> false)
       (Peer.events receiver)
@@ -497,13 +501,13 @@ let test_request_timeout_degrades_to_rejection () =
   | _ -> Alcotest.fail "expected exactly one rejection"
 
 let test_primitive_payload_goes_to_sink () =
-  let net = make_net () in
-  let sender = Peer.create ~net "sender" in
-  let receiver = Peer.create ~net "receiver" in
+  let transport = make_transport () in
+  let sender = Peer.create ~transport "sender" in
+  let receiver = Peer.create ~transport "receiver" in
   let got = ref None in
   Peer.set_default_sink receiver (fun ~from:_ v -> got := Some v);
   Peer.send_value sender ~dst:"receiver" (Value.Vint 42);
-  Net.run net;
+  Transport.run transport;
   match !got with
   | Some (Value.Vint 42) -> ()
   | _ -> Alcotest.fail "primitive payload lost"
@@ -513,9 +517,9 @@ let test_primitive_payload_goes_to_sink () =
 (* ------------------------------------------------------------------ *)
 
 let test_remote_invocation_conformant () =
-  let net = make_net () in
-  let lender = Peer.create ~net "lender" in
-  let borrower = Peer.create ~net "borrower" in
+  let transport = make_transport () in
+  let lender = Peer.create ~transport "lender" in
+  let borrower = Peer.create ~transport "borrower" in
   Peer.publish_assembly lender (Demo.printer_assembly ());
   Peer.publish_assembly borrower (Demo.printsvc_assembly ());
   let obj = Demo.make_printer (Peer.registry lender) ~label:"hp-1" in
@@ -543,9 +547,9 @@ let test_remote_invocation_conformant () =
       Alcotest.(check int) "lender-side state" 2 printed
 
 let test_remote_invocation_error_propagates () =
-  let net = make_net () in
-  let lender = Peer.create ~net "lender" in
-  let borrower = Peer.create ~net "borrower" in
+  let transport = make_transport () in
+  let lender = Peer.create ~transport "lender" in
+  let borrower = Peer.create ~transport "borrower" in
   Peer.publish_assembly lender (Demo.printer_assembly ());
   Peer.publish_assembly borrower (Demo.printer_assembly ());
   let obj = Demo.make_printer (Peer.registry lender) ~label:"hp-2" in
@@ -561,9 +565,9 @@ let test_remote_invocation_error_propagates () =
       | exception Eval.Runtime_error _ -> ())
 
 let test_acquire_non_conformant_fails () =
-  let net = make_net () in
-  let lender = Peer.create ~net "lender" in
-  let borrower = Peer.create ~net "borrower" in
+  let transport = make_transport () in
+  let lender = Peer.create ~transport "lender" in
+  let borrower = Peer.create ~transport "borrower" in
   Peer.publish_assembly lender (Demo.trap_assembly ());
   Peer.publish_assembly borrower (Demo.printsvc_assembly ());
   let trap = Demo.make_trap_person (Peer.registry lender) in
@@ -577,9 +581,9 @@ let test_remote_invocation_with_object_argument () =
      the argument travels as an envelope, and the lender downloads the
      borrower's code to decode it — the full pipeline in both
      directions. *)
-  let net = make_net () in
-  let lender = Peer.create ~net "lender" in
-  let borrower = Peer.create ~net "borrower" in
+  let transport = make_transport () in
+  let lender = Peer.create ~transport "lender" in
+  let borrower = Peer.create ~transport "borrower" in
   Peer.publish_assembly lender (Demo.news_assembly ());
   (* Borrower publishes (not merely installs) so the lender can fetch. *)
   Peer.publish_assembly borrower (Demo.social_assembly ());
@@ -609,30 +613,30 @@ let test_remote_invocation_with_object_argument () =
 let test_eager_mode_rejection_still_pays () =
   (* Under the eager baseline a non-conformant object still ships all its
      code — the waste the optimistic protocol avoids (cf. E5b). *)
-  let net = make_net () in
-  let sender = Peer.create ~mode:Peer.Eager ~net "sender" in
-  let receiver = Peer.create ~mode:Peer.Eager ~net "receiver" in
+  let transport = make_transport () in
+  let sender = Peer.create ~mode:Peer.Eager ~transport "sender" in
+  let receiver = Peer.create ~mode:Peer.Eager ~transport "receiver" in
   Peer.publish_assembly sender (Demo.trap_assembly ());
   Peer.publish_assembly receiver (Demo.news_assembly ());
   Peer.register_interest receiver ~interest:Demo.news_person
     (fun ~from:_ _ -> Alcotest.fail "trap must not be delivered");
   Peer.send_value sender ~dst:"receiver"
     (Demo.make_trap_person (Peer.registry sender));
-  Net.run net;
+  Transport.run transport;
   (match Peer.events receiver with
   | [ Peer.Rejected _ ] -> ()
   | evs -> Alcotest.failf "expected rejection, got %d events" (List.length evs));
   (* The code was nevertheless loaded (shipped inline). *)
   Alcotest.(check bool) "wasted code transfer" true
     (Registry.mem (Peer.registry receiver) Demo.trap_person);
-  let obj_bytes = Stats.bytes (Net.stats net) Stats.Object_msg in
+  let obj_bytes = Stats.bytes (Transport.stats transport) Stats.Object_msg in
   Alcotest.(check bool) "fat object message" true
     (obj_bytes > 3 * String.length (Pti_serial.Assembly_xml.to_string (Demo.trap_assembly ())) / 4)
 
 let test_fetch_type_description () =
-  let net = make_net () in
-  let a = Peer.create ~net "a" in
-  let b = Peer.create ~net "b" in
+  let transport = make_transport () in
+  let a = Peer.create ~transport "a" in
+  let b = Peer.create ~transport "b" in
   Peer.publish_assembly b (Demo.news_assembly ());
   (match Peer.fetch_type_description a ~from:"b" Demo.news_person with
   | Some d ->
@@ -689,10 +693,10 @@ let test_message_describe_is_informative () =
 
 (* One world with the wire knobs set, sending [n] same-type objects. *)
 let wire_world ?handles ?batch_bytes ?tdesc_binary n =
-  let net = make_net () in
-  let sender = Peer.create ?handles ?batch_bytes ?tdesc_binary ~net "sender" in
+  let transport = make_transport () in
+  let sender = Peer.create ?handles ?batch_bytes ?tdesc_binary ~transport "sender" in
   let receiver =
-    Peer.create ?handles ?batch_bytes ?tdesc_binary ~net "receiver"
+    Peer.create ?handles ?batch_bytes ?tdesc_binary ~transport "receiver"
   in
   Peer.publish_assembly sender (Demo.social_assembly ());
   Peer.publish_assembly receiver (Demo.news_assembly ());
@@ -705,16 +709,16 @@ let wire_world ?handles ?batch_bytes ?tdesc_binary n =
         ~name:(Printf.sprintf "p%d" i) ~age:(20 + i)
     in
     Peer.send_value sender ~dst:"receiver" v;
-    Net.run net
+    Transport.run transport
   done;
-  (net, sender, receiver, !received)
+  (transport, sender, receiver, !received)
 
 let test_handles_shrink_repeat_traffic () =
   let n = 12 in
   let _, _, _, plain_received = wire_world n in
-  let net_p, _, _, _ = wire_world n in
-  let plain_bytes = Stats.bytes (Net.stats net_p) Stats.Object_msg in
-  let net_h, sender, _, received = wire_world ~handles:true n in
+  let tr_p, _, _, _ = wire_world n in
+  let plain_bytes = Stats.bytes (Transport.stats tr_p) Stats.Object_msg in
+  let tr_h, sender, _, received = wire_world ~handles:true n in
   Alcotest.(check int) "all delivered with handles" plain_received received;
   Alcotest.(check int) "all delivered" n received;
   (* Every distinct entry binds exactly once (on the first envelope) and
@@ -725,16 +729,16 @@ let test_handles_shrink_repeat_traffic () =
     (Peer.handle_hits sender);
   Alcotest.(check int) "no renegotiation on a quiet link" 0
     (Peer.renegotiations sender);
-  let handle_bytes = Stats.bytes (Net.stats net_h) Stats.Object_msg in
+  let handle_bytes = Stats.bytes (Transport.stats tr_h) Stats.Object_msg in
   Alcotest.(check bool)
     (Printf.sprintf "handles shrink object traffic (%d < %d)" handle_bytes
        plain_bytes)
     true (handle_bytes < plain_bytes)
 
 let test_handle_table_drop_renegotiates () =
-  let net = make_net () in
-  let sender = Peer.create ~handles:true ~net "sender" in
-  let receiver = Peer.create ~handles:true ~net "receiver" in
+  let transport = make_transport () in
+  let sender = Peer.create ~handles:true ~transport "sender" in
+  let receiver = Peer.create ~handles:true ~transport "receiver" in
   Peer.publish_assembly sender (Demo.social_assembly ());
   Peer.publish_assembly receiver (Demo.news_assembly ());
   let got = ref [] in
@@ -743,7 +747,7 @@ let test_handle_table_drop_renegotiates () =
   let send name =
     Peer.send_value sender ~dst:"receiver"
       (Demo.make_social_person (Peer.registry sender) ~name ~age:44);
-    Net.run net
+    Transport.run transport
   in
   send "before";
   (* Simulate receiver restart: learned bindings gone, sender unaware. *)
@@ -765,9 +769,9 @@ let test_handle_table_drop_renegotiates () =
   Alcotest.(check (list string)) "names intact" [ "after"; "before" ] names
 
 let test_batching_coalesces_same_instant () =
-  let net = make_net () in
-  let sender = Peer.create ~batch_bytes:65536 ~net "sender" in
-  let receiver = Peer.create ~net "receiver" in
+  let transport = make_transport () in
+  let sender = Peer.create ~batch_bytes:65536 ~transport "sender" in
+  let receiver = Peer.create ~transport "receiver" in
   Peer.publish_assembly sender (Demo.social_assembly ());
   Peer.publish_assembly receiver (Demo.news_assembly ());
   let received = ref 0 in
@@ -779,21 +783,21 @@ let test_batching_coalesces_same_instant () =
       (Demo.make_social_person (Peer.registry sender)
          ~name:(Printf.sprintf "b%d" i) ~age:i)
   done;
-  Net.run net;
+  Transport.run transport;
   Alcotest.(check int) "all delivered" 5 !received;
   Alcotest.(check int) "one batch frame" 1 (Peer.batch_messages sender);
   Alcotest.(check int) "five envelopes inside" 5 (Peer.batch_envelopes sender);
   Alcotest.(check bool) "framing overhead saved" true
     (Peer.batch_bytes_saved sender > 0);
   Alcotest.(check int) "one object message on the wire" 1
-    (Stats.messages (Net.stats net) Stats.Object_msg)
+    (Stats.messages (Transport.stats transport) Stats.Object_msg)
 
 let test_batch_budget_bounds_frames () =
-  let net = make_net () in
+  let transport = make_transport () in
   (* A budget smaller than two envelopes: every send flushes its own
      frame immediately. *)
-  let sender = Peer.create ~batch_bytes:1 ~net "sender" in
-  let receiver = Peer.create ~net "receiver" in
+  let sender = Peer.create ~batch_bytes:1 ~transport "sender" in
+  let receiver = Peer.create ~transport "receiver" in
   Peer.publish_assembly sender (Demo.social_assembly ());
   Peer.publish_assembly receiver (Demo.news_assembly ());
   let received = ref 0 in
@@ -804,16 +808,16 @@ let test_batch_budget_bounds_frames () =
       (Demo.make_social_person (Peer.registry sender)
          ~name:(Printf.sprintf "s%d" i) ~age:i)
   done;
-  Net.run net;
+  Transport.run transport;
   Alcotest.(check int) "all delivered" 4 !received;
   Alcotest.(check int) "one frame per send under a tiny budget" 4
     (Peer.batch_messages sender)
 
 let test_tdesc_binary_negotiated () =
   let run ~tdesc_binary =
-    let net = make_net () in
-    let sender = Peer.create ~net "sender" in
-    let receiver = Peer.create ~tdesc_binary ~net "receiver" in
+    let transport = make_transport () in
+    let sender = Peer.create ~transport "sender" in
+    let receiver = Peer.create ~tdesc_binary ~transport "receiver" in
     Peer.publish_assembly sender (Demo.social_assembly ());
     Peer.publish_assembly receiver (Demo.news_assembly ());
     let received = ref 0 in
@@ -821,8 +825,8 @@ let test_tdesc_binary_negotiated () =
       (fun ~from:_ _ -> incr received);
     Peer.send_value sender ~dst:"receiver"
       (Demo.make_social_person (Peer.registry sender) ~name:"T" ~age:1);
-    Net.run net;
-    (!received, Stats.bytes (Net.stats net) Stats.Tdesc_reply)
+    Transport.run transport;
+    (!received, Stats.bytes (Transport.stats transport) Stats.Tdesc_reply)
   in
   let xml_received, xml_bytes = run ~tdesc_binary:false in
   let bin_received, bin_bytes = run ~tdesc_binary:true in
@@ -832,6 +836,172 @@ let test_tdesc_binary_negotiated () =
     (Printf.sprintf "binary tdesc replies are smaller (%d < %d)" bin_bytes
        xml_bytes)
     true (bin_bytes < xml_bytes)
+
+(* ------------------------------------------------------------------ *)
+(* Golden reception outcomes                                            *)
+(* ------------------------------------------------------------------ *)
+
+(* Every reception outcome an operator can read in the event log, pinned
+   byte-for-byte: the receiver's whole log, rendered with [pp_event]. *)
+let outcome_lines ?mode ?handles ?(receiver_setup = fun _ -> ()) ~sender_setup
+    send =
+  let transport = make_transport () in
+  let sender = Peer.create ?mode ?handles ~transport "sender" in
+  let receiver = Peer.create ?mode ~transport "receiver" in
+  sender_setup sender;
+  receiver_setup receiver;
+  send transport sender receiver;
+  Transport.run transport;
+  List.map (Format.asprintf "%a" Peer.pp_event) (Peer.events receiver)
+
+let send_social_person _ sender _ =
+  Peer.send_value sender ~dst:"receiver"
+    (Demo.make_social_person (Peer.registry sender) ~name:"Ann" ~age:3)
+
+let news_with_interest receiver =
+  Peer.publish_assembly receiver (Demo.news_assembly ());
+  Peer.register_interest receiver ~interest:Demo.news_person
+    (fun ~from:_ _ -> ())
+
+(* Same classes, fresh GUIDs, another assembly: loading it next to the
+   real one must collide on the qualified names. *)
+let forked_news () =
+  let news = Demo.news_assembly () in
+  Assembly.make ~name:"newsfork"
+    (List.map
+       (fun cd ->
+         {
+           cd with
+           Meta.td_guid =
+             Pti_util.Guid.of_name ("fork." ^ Meta.qualified_name cd);
+         })
+       news.Assembly.asm_classes)
+
+(* The social assembly under its own name, but with class names the
+   registry refuses: it parses, and loading it raises. *)
+let unloadable_social () =
+  let social = Demo.social_assembly () in
+  {
+    social with
+    Assembly.asm_classes =
+      List.map
+        (fun cd -> { cd with Meta.td_name = cd.Meta.td_name ^ "-" })
+        social.Assembly.asm_classes;
+  }
+
+let check_lines name expected actual =
+  Alcotest.(check (list string)) name expected actual
+
+let test_outcome_no_interest () =
+  check_lines "no interest"
+    [ "rejected socialw.person from sender: no registered interest" ]
+    (outcome_lines
+       ~sender_setup:(fun s -> Peer.publish_assembly s (Demo.social_assembly ()))
+       send_social_person)
+
+let test_outcome_interest_not_loaded () =
+  check_lines "interest not loaded"
+    [
+      "rejected socialw.person from sender: interest ghostw.Person not \
+       loaded locally";
+    ]
+    (outcome_lines
+       ~sender_setup:(fun s -> Peer.publish_assembly s (Demo.social_assembly ()))
+       ~receiver_setup:(fun r ->
+         Peer.register_interest r ~interest:"ghostw.Person" (fun ~from:_ _ ->
+             ()))
+       send_social_person)
+
+let test_outcome_assembly_unavailable () =
+  check_lines "assembly unavailable"
+    [
+      "load of social-asm failed: assembly social-asm not available at \
+       asm://sender/social-asm";
+      "decode failed (from sender): assembly social-asm not available at \
+       asm://sender/social-asm";
+    ]
+    (outcome_lines
+       ~sender_setup:(fun s -> Peer.install_assembly s (Demo.social_assembly ()))
+       ~receiver_setup:news_with_interest send_social_person)
+
+let test_outcome_collision () =
+  check_lines "collision"
+    [
+      "load of newsfork failed: type newsw.Address collides with an \
+       existing definition";
+      "decode failed (from sender): type newsw.Address collides with an \
+       existing definition";
+    ]
+    (outcome_lines
+       ~sender_setup:(fun s -> Peer.publish_assembly s (forked_news ()))
+       ~receiver_setup:news_with_interest
+       (fun _ sender _ ->
+         Peer.send_value sender ~dst:"receiver"
+           (Demo.make_news_person (Peer.registry sender) ~name:"Bo" ~age:4)))
+
+let test_outcome_eager_unloadable () =
+  (* The inline copy is named after the parsed assembly, like the
+     fetched one; only bytes that do not parse are logged as "?". *)
+  check_lines "eager unloadable assembly"
+    [
+      "load of social-asm failed: Registry.register: invalid class name \
+       \"address-\"";
+      "load of social-asm failed: Registry.register: invalid class name \
+       \"address-\"";
+      "decode failed (from sender): Registry.register: invalid class name \
+       \"address-\"";
+    ]
+    (outcome_lines ~mode:Peer.Eager
+       ~sender_setup:(fun s ->
+         Peer.install_assembly s (Demo.social_assembly ());
+         Peer.serve_assembly s (unloadable_social ()))
+       ~receiver_setup:news_with_interest send_social_person)
+
+let test_outcome_sink () =
+  check_lines "sink" [ "delivered (sink) from sender: int" ]
+    (outcome_lines ~sender_setup:ignore (fun _ sender _ ->
+         Peer.send_value sender ~dst:"receiver" (Value.Vint 42)))
+
+let test_outcome_renegotiation_timeout () =
+  (* The second envelope travels as bare handle refs; both ends forget
+     the bindings before it lands, so the NAK finds nothing to re-bind
+     and the parked envelope times out. *)
+  check_lines "renegotiation timed out"
+    [
+      "delivered newsw.Person from sender: proxy<newsw.Person>";
+      "decode failed (from sender): handle renegotiation timed out";
+    ]
+    (outcome_lines ~handles:true
+       ~sender_setup:(fun s -> Peer.publish_assembly s (Demo.social_assembly ()))
+       ~receiver_setup:news_with_interest
+       (fun transport sender receiver ->
+         send_social_person transport sender receiver;
+         Transport.run transport;
+         send_social_person transport sender receiver;
+         Peer.drop_handle_tables receiver;
+         Peer.release_handle_tables sender))
+
+(* A rejected duplicate-address create must leave the live peer's
+   registry bindings alone. *)
+let test_duplicate_address_keeps_gauges () =
+  let m = Pti_obs.Metrics.create () in
+  let transport = make_transport () in
+  let a = Peer.create ~metrics:m ~transport "a" in
+  let b = Peer.create ~transport "b" in
+  Peer.publish_assembly b (Demo.news_assembly ());
+  Peer.learn_description a
+    (Option.get (Peer.local_description b Demo.news_person));
+  let size () =
+    match Pti_obs.Metrics.find m "peer.a.tdesc_cache.size" with
+    | Some (Pti_obs.Metrics.Gauge g) -> int_of_float g
+    | _ -> Alcotest.fail "tdesc_cache.size gauge missing"
+  in
+  Alcotest.(check int) "gauge before" 1 (size ());
+  (match Peer.create ~metrics:m ~transport "a" with
+  | _ -> Alcotest.fail "duplicate address accepted"
+  | exception Invalid_argument _ -> ());
+  Alcotest.(check int) "live peer cache" 1 (Peer.tdesc_cache_size a);
+  Alcotest.(check int) "gauge still reads the live peer" 1 (size ())
 
 let () =
   Alcotest.run "core-protocol"
@@ -875,6 +1045,24 @@ let () =
             test_new_type_preserves_unrelated_verdicts;
           Alcotest.test_case "event log is a bounded ring" `Quick
             test_event_log_bounded;
+          Alcotest.test_case "duplicate address keeps gauges" `Quick
+            test_duplicate_address_keeps_gauges;
+        ] );
+      ( "golden-outcomes",
+        [
+          Alcotest.test_case "no registered interest" `Quick
+            test_outcome_no_interest;
+          Alcotest.test_case "interest not loaded" `Quick
+            test_outcome_interest_not_loaded;
+          Alcotest.test_case "assembly not available" `Quick
+            test_outcome_assembly_unavailable;
+          Alcotest.test_case "type collision" `Quick test_outcome_collision;
+          Alcotest.test_case "eager unloadable assembly" `Quick
+            test_outcome_eager_unloadable;
+          Alcotest.test_case "primitive to the log sink" `Quick
+            test_outcome_sink;
+          Alcotest.test_case "renegotiation timed out" `Quick
+            test_outcome_renegotiation_timeout;
         ] );
       ( "messages",
         [

@@ -9,6 +9,7 @@
 module Metrics = Pti_obs.Metrics
 module Peer = Pti_core.Peer
 module Net = Pti_net.Net
+module Transport = Pti_transport.Transport
 module Workload = Pti_demo.Workload
 module Driver = Pti_scale.Driver
 
@@ -134,8 +135,8 @@ let test_sharded_block_parallel_hubs () =
   Alcotest.(check int) "shard count" shards (Peer.shard_count sh);
   (* Preload (single-domain phase): code loading is not domain-safe, so
      it all happens here, before any domain spawns. *)
-  let boot_net = Net.create ~seed:1L () in
-  let boot = Peer.create ~net:boot_net ~shared:sh "boot" in
+  let boot_net = Transport.of_net (Net.create ~seed:1L ()) in
+  let boot = Peer.create ~transport:boot_net ~shared:sh "boot" in
   Peer.install_assembly boot (Workload.interest_assembly ());
   for f = 0 to families - 1 do
     Peer.install_assembly boot
@@ -147,14 +148,16 @@ let test_sharded_block_parallel_hubs () =
     Array.map
       (fun addr ->
         Domain.spawn (fun () ->
-            let net = Net.create ~seed:7L () in
-            let hub = Peer.create ~net ~shared:sh addr in
+            let transport = Transport.of_net (Net.create ~seed:7L ()) in
+            let hub = Peer.create ~transport ~shared:sh addr in
             let delivered = ref 0 in
             Peer.register_interest hub ~interest:Workload.interest_person
               (fun ~from:_ _ -> incr delivered);
             let pubs =
               Array.init families (fun f ->
-                  let p = Peer.create ~net (addr ^ ".pub" ^ string_of_int f) in
+                  let p =
+                    Peer.create ~transport (addr ^ ".pub" ^ string_of_int f)
+                  in
                   Peer.publish_assembly p
                     (Workload.family ~index:f ~flavor:Workload.Conformant);
                   p)

@@ -9,6 +9,7 @@ module E = Expr
 module Repository = Pti_core.Repository
 module Peer = Pti_core.Peer
 module Net = Pti_net.Net
+module Transport = Pti_transport.Transport
 module Checker = Pti_conformance.Checker
 module Td = Pti_typedesc.Type_description
 module Workload = Pti_demo.Workload
@@ -255,9 +256,9 @@ let test_v2_publish_keeps_unrelated_verdicts () =
 (* --------------------- upgrade under live traffic -------------------- *)
 
 let test_upgrade_under_traffic () =
-  let net = Net.create ~seed:7L () in
-  let alice = Peer.create ~net "alice" in
-  let bob = Peer.create ~net "bob" in
+  let transport = Transport.of_net (Net.create ~seed:7L ()) in
+  let alice = Peer.create ~transport "alice" in
+  let bob = Peer.create ~transport "bob" in
   Peer.install_assembly bob (Workload.interest_assembly ());
   let got = ref [] in
   Peer.register_interest bob ~interest:Workload.interest_person
@@ -269,7 +270,7 @@ let test_upgrade_under_traffic () =
         ~flavor:Workload.Conformant ~name ~age
     in
     Peer.send_value alice ~dst:"bob" v;
-    Net.run net
+    Transport.run transport
   in
   send "old" 30;
   let ve2 =
@@ -384,9 +385,9 @@ let prop_pins_stable_across_gossip =
     ~count:25
     QCheck.(pair (int_range 1 3) (int_range 3 8))
     (fun (depth, rounds) ->
-      let net = Net.create ~seed:11L () in
+      let transport = Transport.of_net (Net.create ~seed:11L ()) in
       let addrs = [ "n0"; "n1"; "n2" ] in
-      let c = Cluster.create ~seed:5L ~net addrs in
+      let c = Cluster.create ~seed:5L ~transport addrs in
       let origin = Cluster.node c "n0" in
       let entries =
         List.init depth (fun i ->

@@ -4,6 +4,7 @@
    determinism the explorer's replays depend on. *)
 
 module Net = Pti_net.Net
+module Transport = Pti_transport.Transport
 module Sim = Pti_net.Sim
 module Peer = Pti_core.Peer
 module Schedule = Pti_mc.Schedule
@@ -127,6 +128,28 @@ let test_pruning_sound_and_effective () =
     true
     (naive.Explore.schedules >= 5 * pruned.Explore.schedules)
 
+(* E12's schedule counts, pinned exactly under the configuration
+   [pti explore] runs with (3 peers, budget 20k, both prunings on): a
+   change to [Peer.fingerprint] or to event order moves them even when
+   the pruning ratio survives. Each triple is schedules / sleep-pruned /
+   hash-pruned. *)
+let test_e12_counts_pinned () =
+  let counts kind ~objects ~depth =
+    let r =
+      Explore.run ~config:{ Explore.default_config with depth }
+        (mk kind ~objects)
+    in
+    Alcotest.(check bool) "exhausted" true r.Explore.exhausted;
+    (r.Explore.schedules, r.Explore.sleep_pruned, r.Explore.hash_pruned)
+  in
+  let triple = Alcotest.(triple int int int) in
+  Alcotest.check triple "protocol n=3 d=10" (55, 126, 97)
+    (counts Scenario.Protocol ~objects:3 ~depth:10);
+  Alcotest.check triple "wire n=2 d=8" (41, 45, 20)
+    (counts Scenario.Wire ~objects:2 ~depth:8);
+  Alcotest.check triple "evolution n=3 d=8" (148, 183, 85)
+    (counts Scenario.Evolution ~objects:3 ~depth:8)
+
 let test_explorer_deterministic () =
   let run () =
     let r = exhaust (mk Scenario.Wire) in
@@ -166,7 +189,8 @@ let prop_random_agrees_with_fifo =
 let test_hosts_sorted_regardless_of_registration_order () =
   let build names =
     let net = Net.create ~jitter_ms:0. () in
-    List.iter (fun n -> ignore (Peer.create ~net n)) names;
+    let transport = Transport.of_net net in
+    List.iter (fun n -> ignore (Peer.create ~transport n)) names;
     Net.hosts net
   in
   let a = build [ "zeta"; "alpha"; "mid" ] in
@@ -214,6 +238,7 @@ let () =
         [
           Alcotest.test_case "sound and >=5x effective" `Quick
             test_pruning_sound_and_effective;
+          Alcotest.test_case "E12 counts pinned" `Quick test_e12_counts_pinned;
         ] );
       ( "strategy",
         [

@@ -11,6 +11,7 @@ module Bin = Pti_serial.Bin_ser
 module Idl = Pti_idl.Idl
 module Peer = Pti_core.Peer
 module Net = Pti_net.Net
+module Transport = Pti_transport.Transport
 module Stats = Pti_net.Stats
 module Demo = Pti_demo.Demo_types
 module Workload = Pti_demo.Workload
@@ -202,9 +203,9 @@ let prop_permutations_are_bijections =
 (* ------------------------- protocol properties --------------------- *)
 
 let run_protocol ~objects ~distinct ~nonconf ~seed =
-  let net = Net.create ~seed () in
-  let sender = Peer.create ~net "sender" in
-  let receiver = Peer.create ~net "receiver" in
+  let transport = Transport.of_net (Net.create ~seed ()) in
+  let sender = Peer.create ~transport "sender" in
+  let receiver = Peer.create ~transport "receiver" in
   Peer.install_assembly receiver (Demo.news_assembly ());
   Peer.register_interest receiver ~interest:Demo.news_person
     (fun ~from:_ _ -> ());
@@ -224,7 +225,7 @@ let run_protocol ~objects ~distinct ~nonconf ~seed =
         ~name:(Printf.sprintf "p%d" n) ~age:n
     in
     Peer.send_value sender ~dst:"receiver" v;
-    Net.run net
+    Transport.run transport
   done;
   let delivered, rejected, failed =
     List.fold_left
@@ -236,7 +237,7 @@ let run_protocol ~objects ~distinct ~nonconf ~seed =
         | Peer.Corrupt_rejected _ -> (d, r, f + 1))
       (0, 0, 0) (Peer.events receiver)
   in
-  (delivered, rejected, failed, Stats.total_bytes (Net.stats net))
+  (delivered, rejected, failed, Stats.total_bytes (Transport.stats transport))
 
 let protocol_params =
   QCheck.make

@@ -216,9 +216,9 @@ let test_shared_pool_roundtrip () =
   (* The flyweight block parks released receiver handle tables and hands
      them back to the next peer that needs one. *)
   let sh = Peer.create_shared ~handle_table_capacity:8 () in
-  let net = Pti_net.Net.create ~seed:3L () in
-  let a = Peer.create ~shared:sh ~handles:true ~net "a"
-  and b = Peer.create ~shared:sh ~handles:true ~net "b" in
+  let transport = Pti_transport.Transport.of_net (Pti_net.Net.create ~seed:3L ()) in
+  let a = Peer.create ~shared:sh ~handles:true ~transport "a"
+  and b = Peer.create ~shared:sh ~handles:true ~transport "b" in
   Alcotest.(check int) "pool starts empty" 0 (Peer.shared_pool_size sh);
   Peer.install_assembly a (Pti_demo.Demo_types.news_assembly ());
   let person name age =
@@ -227,16 +227,16 @@ let test_shared_pool_roundtrip () =
   Peer.register_interest b ~interest:Pti_demo.Demo_types.news_person
     (fun ~from:_ _ -> ());
   Peer.send_value a ~dst:"b" (person "n" 1);
-  Pti_net.Net.run net;
+  Pti_transport.Transport.run transport;
   Peer.release_handle_tables b;
   Alcotest.(check bool) "receiver table parked" true
     (Peer.shared_pool_size sh > 0);
   let before = Peer.shared_pool_size sh in
-  let c = Peer.create ~shared:sh ~handles:true ~net "c" in
+  let c = Peer.create ~shared:sh ~handles:true ~transport "c" in
   Peer.register_interest c ~interest:Pti_demo.Demo_types.news_person
     (fun ~from:_ _ -> ());
   Peer.send_value a ~dst:"c" (person "m" 2);
-  Pti_net.Net.run net;
+  Pti_transport.Transport.run transport;
   Alcotest.(check int) "new receiver drew from the pool" (before - 1)
     (Peer.shared_pool_size sh)
 

@@ -3,17 +3,18 @@
 open Pti_cts
 module Peer = Pti_core.Peer
 module Net = Pti_net.Net
+module Transport = Pti_transport.Transport
 module Stats = Pti_net.Stats
 module Tps = Pti_tps.Tps
 module Proxy = Pti_proxy.Dynamic_proxy
 module Demo = Pti_demo.Demo_types
 
 let setup () =
-  let net = Net.create ~seed:21L () in
-  let domain = Tps.create ~net ~broker:"broker" () in
-  let pub = Peer.create ~net "publisher" in
+  let transport = Transport.of_net (Net.create ~seed:21L ()) in
+  let domain = Tps.create ~transport ~broker:"broker" () in
+  let pub = Peer.create ~transport "publisher" in
   Peer.publish_assembly pub (Demo.social_assembly ());
-  (net, domain, pub)
+  (transport, domain, pub)
 
 let get_string = function
   | Value.Vstring s -> s
@@ -26,8 +27,8 @@ let publish_event domain pub headline =
     (Demo.make_social_event reg ~headline ~author ~priority:2)
 
 let test_conformant_subscriber_receives () =
-  let net, domain, pub = setup () in
-  let sub_peer = Peer.create ~net "sub1" in
+  let transport, domain, pub = setup () in
+  let sub_peer = Peer.create ~transport "sub1" in
   Peer.publish_assembly sub_peer (Demo.news_assembly ());
   let seen = ref [] in
   let sub =
@@ -46,8 +47,8 @@ let test_conformant_subscriber_receives () =
   | _ -> Alcotest.fail "handler did not fire exactly once"
 
 let test_non_conformant_subscriber_ignored () =
-  let net, domain, pub = setup () in
-  let sub_peer = Peer.create ~net "sub1" in
+  let transport, domain, pub = setup () in
+  let sub_peer = Peer.create ~transport "sub1" in
   (* This subscriber only knows printers; a news event must not match. *)
   Peer.publish_assembly sub_peer (Demo.printsvc_assembly ());
   let sub =
@@ -60,16 +61,16 @@ let test_non_conformant_subscriber_ignored () =
   Tps.run domain;
   Alcotest.(check int) "no deliveries" 0 (List.length (Tps.deliveries sub));
   (* And it never downloaded the event code. *)
-  let s = Net.stats net in
+  let s = Transport.stats transport in
   Alcotest.(check int) "no code transfer" 0 (Stats.messages s Stats.Asm_request)
 
 let test_multiple_subscribers_mixed () =
-  let net, domain, pub = setup () in
-  let s1 = Peer.create ~net "s1" in
+  let transport, domain, pub = setup () in
+  let s1 = Peer.create ~transport "s1" in
   Peer.publish_assembly s1 (Demo.news_assembly ());
-  let s2 = Peer.create ~net "s2" in
+  let s2 = Peer.create ~transport "s2" in
   Peer.publish_assembly s2 (Demo.news_assembly ());
-  let s3 = Peer.create ~net "s3" in
+  let s3 = Peer.create ~transport "s3" in
   Peer.publish_assembly s3 (Demo.printsvc_assembly ());
   let sub1 = Tps.subscribe domain s1 ~interest:Demo.news_event () in
   let sub2 = Tps.subscribe domain s2 ~interest:Demo.news_event () in
@@ -81,8 +82,7 @@ let test_multiple_subscribers_mixed () =
   Alcotest.(check int) "sub3 did not" 0 (List.length (Tps.deliveries sub3))
 
 let test_publisher_is_not_self_delivered () =
-  let net, domain, pub = setup () in
-  ignore net;
+  let _, domain, pub = setup () in
   (* The publisher also subscribes (to its own native type). *)
   let own =
     Tps.subscribe domain pub ~interest:Demo.social_event ()
@@ -92,8 +92,8 @@ let test_publisher_is_not_self_delivered () =
   Alcotest.(check int) "no self delivery" 0 (List.length (Tps.deliveries own))
 
 let test_stream_of_events_amortizes_code_download () =
-  let net, domain, pub = setup () in
-  let sub_peer = Peer.create ~net "s1" in
+  let transport, domain, pub = setup () in
+  let sub_peer = Peer.create ~transport "s1" in
   Peer.publish_assembly sub_peer (Demo.news_assembly ());
   let sub = Tps.subscribe domain sub_peer ~interest:Demo.news_event () in
   for i = 1 to 10 do
@@ -101,7 +101,7 @@ let test_stream_of_events_amortizes_code_download () =
     Tps.run domain
   done;
   Alcotest.(check int) "all delivered" 10 (List.length (Tps.deliveries sub));
-  let s = Net.stats net in
+  let s = Transport.stats transport in
   (* Code and descriptions were fetched once, not per event. *)
   Alcotest.(check int) "one assembly fetch" 1
     (Stats.messages s Stats.Asm_request);
@@ -109,9 +109,8 @@ let test_stream_of_events_amortizes_code_download () =
     (Stats.messages s Stats.Tdesc_request <= 6)
 
 let test_deliveries_record_source () =
-  let net, domain, pub = setup () in
-  ignore net;
-  let sub_peer = Peer.create ~net "s1" in
+  let transport, domain, pub = setup () in
+  let sub_peer = Peer.create ~transport "s1" in
   Peer.publish_assembly sub_peer (Demo.news_assembly ());
   let sub = Tps.subscribe domain sub_peer ~interest:Demo.news_event () in
   publish_event domain pub "Origin";
@@ -121,9 +120,8 @@ let test_deliveries_record_source () =
   | _ -> Alcotest.fail "expected one delivery"
 
 let test_unsubscribe () =
-  let net, domain, pub = setup () in
-  ignore net;
-  let sub_peer = Peer.create ~net "s1" in
+  let transport, domain, pub = setup () in
+  let sub_peer = Peer.create ~transport "s1" in
   Peer.publish_assembly sub_peer (Demo.news_assembly ());
   let sub = Tps.subscribe domain sub_peer ~interest:Demo.news_event () in
   publish_event domain pub "before";
