@@ -864,7 +864,7 @@ let stats_cmd =
              population-scale simulator) against one shared metrics \
              registry and print the full snapshot: per-peer cache \
              hit/miss/eviction counters, checker verdict-cache reuse, \
-             network latency histograms, traffic gauges and the scale.* \
+             network latency histograms, traffic counters and the scale.* \
              namespace.")
     Term.(
       ret

@@ -19,8 +19,7 @@
     descriptions the initiator was missing; the initiator closes with a
     {e delta} of what the partner still lacks. Type metadata thus
     spreads epidemically, off the object hot path — the round-trip also
-    feeds the initiator's RTT estimate of the partner
-    ({!Pti_net.Stats.record_rtt}).
+    feeds the initiator's RTT estimate of the partner (see {!rtt}).
 
     Rounds are driven explicitly (by {!Cluster.run_rounds}, the CLI or a
     test), never by self-rescheduling timers, so [Net.run] still
@@ -90,17 +89,14 @@ val piggybacked_digests : t -> int
     detection (no probe timer is armed for them). *)
 
 val rtt : t -> string -> float option
-(** This node's EWMA round-trip estimate of a peer, from completed
-    gossip exchanges. *)
+(** This node's own EWMA round-trip estimate of a peer from completed
+    gossip exchanges: weight 0.3 per new sample, the first taken as is. *)
 
 val fingerprint : t -> int64
 (** FNV-1a digest of the node's cluster-visible state (membership view
     with statuses, mirror knowledge, probes in flight), rendered in
     sorted order. Combined with {!Pti_core.Peer.fingerprint} by the
     model checker's state-hash pruning. *)
-
-val stats : t -> Pti_net.Stats.t
-(** The node's private observation store (RTTs live here). *)
 
 (** {1 Replication} *)
 

@@ -194,10 +194,11 @@ type t = {
   mutable mirror_provider :
     (assembly:string -> advertised:string -> string list) option;
   mutable gossip_handler : src:string -> kind:string -> body:string -> unit;
-  (* Wire-efficiency layer. Sending handle-encoded envelopes and batches
-     is opt-in per peer; receiving either is unconditional, so a link
-     between a negotiating sender and a classic receiver still works
-     (XML full envelopes remain the interop fallback). *)
+  (* Wire-efficiency layer. Sending handle-encoded (binary PTIE)
+     envelopes and batches is opt-in per peer; receiving either is
+     unconditional, so a link between a negotiating sender and a classic
+     receiver still works. Without handles a peer sends classic XML
+     envelopes. *)
   handles : bool;
   batch_bytes : int option;
   tdesc_binary : bool;
@@ -1531,10 +1532,10 @@ let flush_batch t ~dst =
         let piggyback = t.piggyback_provider ~dst in
         let msg = Message.Obj_batch { frame = Bf.encode { Bf.parts; piggyback } } in
         Metrics.incr t.wire_ctrs.mc_batch_messages;
-        Metrics.incr ~by:(List.length parts) t.wire_ctrs.mc_batch_envelopes;
+        Metrics.add t.wire_ctrs.mc_batch_envelopes (List.length parts);
         let saved = bb.bb_standalone - Message.size msg in
         if saved > 0 then
-          Metrics.incr ~by:saved t.wire_ctrs.mc_batch_bytes_saved;
+          Metrics.add t.wire_ctrs.mc_batch_bytes_saved saved;
         send t ~dst msg
       end
 

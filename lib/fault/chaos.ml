@@ -347,7 +347,7 @@ let run_one ?plan config ~seed =
               Trace.count trace ~category:c () ))
       Stats.all_categories
   in
-  let net_lost = Net.lost_for net Stats.Object_msg in
+  let net_lost = Stats.lost_for stats Stats.Object_msg in
   let violations =
     Invariant.conservation ~sent:config.c_objects
       ~delivered:(List.length delivered_vals) ~rejected ~failed ~net_lost

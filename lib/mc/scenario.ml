@@ -148,7 +148,7 @@ let check_common ?(revisions = 1) ~net ~trace ~receiver ~objects ~expected
   Invariant.conservation ~sent:objects
     ~delivered:(List.length delivered_vals)
     ~rejected ~failed
-    ~net_lost:(Net.lost_for net Stats.Object_msg)
+    ~net_lost:(Stats.lost_for stats Stats.Object_msg)
   @ Invariant.exactly_once ~delivered_keys
   @ Invariant.no_mangle ~expected ~got
   @ Invariant.trap_never_delivered ~trap_keys ~delivered_keys

@@ -43,16 +43,8 @@ type 'a t = {
   links : (string, float * float) Hashtbl.t;  (* "a|b" -> latency,bw *)
   partitions : (string, unit) Hashtbl.t;
   ledger : Arq.Ledger.t;  (* ids issued, acks seen, deliveries made *)
-  lost_by : (Stats.category, int) Hashtbl.t;
-  mutable dropped : int;
-  mutable retransmitted : int;
-  mutable lost : int;
   mutable faults : 'a fault_hooks option;
   mutable integrity : ('a -> bool) option;
-  mutable injected_drops : int;
-  mutable injected_duplicates : int;
-  mutable corrupted_frames : int;
-  mutable integrity_drops : int;
   mutable observer :
     (now:float -> src:address -> dst:address -> category:Stats.category ->
      size:int -> attempt:int -> unit)
@@ -78,16 +70,8 @@ let create ?(default_latency_ms = 1.0) ?(default_bandwidth_bpms = 1000.)
     links = Hashtbl.create 16;
     partitions = Hashtbl.create 4;
     ledger = Arq.Ledger.create ();
-    lost_by = Hashtbl.create 8;
-    dropped = 0;
-    retransmitted = 0;
-    lost = 0;
     faults = None;
     integrity = None;
-    injected_drops = 0;
-    injected_duplicates = 0;
-    corrupted_frames = 0;
-    integrity_drops = 0;
     observer = None;
   }
 
@@ -143,13 +127,18 @@ let attempt_lost t ~src ~dst =
      | None -> false
      | Some f ->
          let hit = f.fh_drop ~now:(Sim.now t.sim) ~src ~dst in
-         if hit then t.injected_drops <- t.injected_drops + 1;
+         if hit then Stats.record_link t.stats Injected_drop;
          hit
 
-let fault_duplicates t ~src ~dst =
+(* Copies of one attempt to transmit: the original plus any injected
+   duplicates, which are counted here. *)
+let copies t ~src ~dst =
   match t.faults with
-  | None -> 0
-  | Some f -> max 0 (f.fh_duplicates ~now:(Sim.now t.sim) ~src ~dst)
+  | None -> 1
+  | Some f ->
+      let extra = max 0 (f.fh_duplicates ~now:(Sim.now t.sim) ~src ~dst) in
+      if extra > 0 then Stats.record_links t.stats Injected_duplicate extra;
+      1 + extra
 
 let fault_delay t ~src ~dst =
   match t.faults with
@@ -165,7 +154,7 @@ let fault_corrupt t ~src ~dst payload =
       match f.fh_corrupt ~now:(Sim.now t.sim) ~src ~dst payload with
       | None -> payload
       | Some p ->
-          t.corrupted_frames <- t.corrupted_frames + 1;
+          Stats.record_link t.stats Corrupted;
           p)
 
 let transfer_delay t ~src ~dst ~size =
@@ -182,7 +171,7 @@ let frame_ok t payload =
   | None -> true
   | Some chk ->
       let ok = chk payload in
-      if not ok then t.integrity_drops <- t.integrity_drops + 1;
+      if not ok then Stats.record_link t.stats Integrity_drop;
       ok
 
 (* The handler is resolved on arrival, not at send time, so a host
@@ -192,16 +181,11 @@ let frame_ok t payload =
 let deliver t ~src ~dst payload =
   match Hashtbl.find_opt t.handlers dst with
   | None ->
-      t.dropped <- t.dropped + 1;
+      Stats.record_link t.stats Dropped;
       false
   | Some handler ->
       handler ~net:t ~src payload;
       true
-
-let count_lost t category =
-  t.lost <- t.lost + 1;
-  let n = Option.value ~default:0 (Hashtbl.find_opt t.lost_by category) in
-  Hashtbl.replace t.lost_by category (n + 1)
 
 let send t ?info ~src ~dst ~category ~size payload =
   if not (Hashtbl.mem t.known dst) then
@@ -217,20 +201,17 @@ let send t ?info ~src ~dst ~category ~size payload =
   | None ->
       (* Each copy (the original plus injected duplicates) is charged,
          observed, lossed and corrupted independently. *)
-      let copies = 1 + fault_duplicates t ~src ~dst in
-      if copies > 1 then
-        t.injected_duplicates <- t.injected_duplicates + (copies - 1);
-      for _copy = 1 to copies do
+      for _copy = 1 to copies t ~src ~dst do
         Stats.record t.stats category ~bytes:size;
         observe t ~src ~dst ~category ~size ~attempt:0;
-        if attempt_lost t ~src ~dst then t.dropped <- t.dropped + 1
+        if attempt_lost t ~src ~dst then Stats.record_link t.stats Dropped
         else begin
           let payload = fault_corrupt t ~src ~dst payload in
           let delay = transfer_delay t ~src ~dst ~size in
           Sim.schedule t.sim ~label:deliver_label ~delay (fun () ->
               (* A partition cut while the message was in flight kills it
                  too — a cable does not care how far the packet got. *)
-              if severed t ~src ~dst then t.dropped <- t.dropped + 1
+              if severed t ~src ~dst then Stats.record_link t.stats Dropped
               else if frame_ok t payload then begin
                 if deliver t ~src ~dst payload then
                   Stats.record_latency t.stats category ~ms:delay
@@ -246,7 +227,7 @@ let send t ?info ~src ~dst ~category ~size payload =
          discarded without an ack, so corruption triggers retransmission
          just like loss. *)
       let on_arrival payload () =
-        if severed t ~src ~dst then t.dropped <- t.dropped + 1
+        if severed t ~src ~dst then Stats.record_link t.stats Dropped
         else if frame_ok t payload then begin
           if not (Arq.Ledger.is_delivered t.ledger msg_id) then begin
             if deliver t ~src ~dst payload then begin
@@ -259,7 +240,7 @@ let send t ?info ~src ~dst ~category ~size payload =
             (* The ack travels back and may itself be lost. *)
             Stats.record t.stats Stats.Control ~bytes:r.ack_bytes;
             if attempt_lost t ~src:dst ~dst:src then
-              t.dropped <- t.dropped + 1
+              Stats.record_link t.stats Dropped
             else begin
               let ack_delay =
                 transfer_delay t ~src:dst ~dst:src ~size:r.ack_bytes
@@ -270,14 +251,14 @@ let send t ?info ~src ~dst ~category ~size payload =
               in
               Sim.schedule t.sim ~label:ack_label ~delay:ack_delay (fun () ->
                   if severed t ~src:dst ~dst:src then
-                    t.dropped <- t.dropped + 1
+                    Stats.record_link t.stats Dropped
                   else Arq.Ledger.mark_acked t.ledger msg_id)
             end
           end
         end
       in
       let launch () =
-        if attempt_lost t ~src ~dst then t.dropped <- t.dropped + 1
+        if attempt_lost t ~src ~dst then Stats.record_link t.stats Dropped
         else begin
           let payload = fault_corrupt t ~src ~dst payload in
           let delay = transfer_delay t ~src ~dst ~size in
@@ -285,15 +266,12 @@ let send t ?info ~src ~dst ~category ~size payload =
         end
       in
       let rec attempt n =
-        let copies = 1 + fault_duplicates t ~src ~dst in
-        if copies > 1 then
-          t.injected_duplicates <- t.injected_duplicates + (copies - 1);
-        for _copy = 1 to copies do
+        for _copy = 1 to copies t ~src ~dst do
           Stats.record t.stats category ~bytes:size;
           observe t ~src ~dst ~category ~size ~attempt:n;
           launch ()
         done;
-        if n > 0 then t.retransmitted <- t.retransmitted + 1;
+        if n > 0 then Stats.record_link t.stats Retransmission;
         (* Retransmission timer: fires whether or not this attempt
            arrived; a lost ack also triggers a retry. *)
         let timer_label =
@@ -304,7 +282,7 @@ let send t ?info ~src ~dst ~category ~size payload =
             if not (Arq.Ledger.is_acked t.ledger msg_id) then
               if n < r.max_retries then attempt (n + 1)
               else if not (Arq.Ledger.is_delivered t.ledger msg_id) then
-                count_lost t category)
+                Stats.record_lost t.stats category)
       in
       attempt 0
 
@@ -320,14 +298,3 @@ let hosts t =
 
 let enabled t = Sim.pending_events t.sim
 let fire t ~seq = Sim.fire t.sim ~seq
-let dropped_messages t = t.dropped
-let retransmissions t = t.retransmitted
-let lost_messages t = t.lost
-
-let lost_for t category =
-  Option.value ~default:0 (Hashtbl.find_opt t.lost_by category)
-
-let injected_drops t = t.injected_drops
-let injected_duplicates t = t.injected_duplicates
-let corrupted_frames t = t.corrupted_frames
-let integrity_drops t = t.integrity_drops

@@ -1,6 +1,8 @@
 (** The simulated network: addressed hosts, latency/bandwidth links,
-    deterministic loss, optional reliable delivery, per-category
-    accounting.
+    deterministic loss, optional reliable delivery. Everything it
+    counts — traffic per category, drops, retransmissions, losses,
+    injected faults — is recorded in its {!Stats} view ({!stats}); the
+    network keeps no counter of its own.
 
     Polymorphic in the payload so the middleware layers its own message
     type on top; the network charges each message by the byte [size] the
@@ -37,7 +39,7 @@ type 'a fault_hooks = {
           window opening mid-flight kills the frame. *)
   fh_drop : now:float -> src:address -> dst:address -> bool;
       (** Extra per-attempt loss (burst windows). Counted in
-          {!injected_drops} when it fires. *)
+          {!Stats.Injected_drop} when it fires. *)
   fh_duplicates : now:float -> src:address -> dst:address -> int;
       (** Extra copies of the frame to transmit (each charged, lossed,
           delayed and corrupted independently). *)
@@ -63,8 +65,8 @@ val create : ?default_latency_ms:float -> ?default_bandwidth_bpms:float ->
   ?seed:int64 -> ?metrics:Pti_obs.Metrics.t -> unit -> 'a t
 (** Defaults: 1.0 ms latency, 1000 bytes/ms (~1 MB/s) bandwidth, no drops,
     no jitter, no reliability layer, seed 42. [metrics] is forwarded to
-    {!Stats.create}: latency histograms and traffic gauges land in the
-    given registry under [net.*]. *)
+    {!Stats.create}: every count and latency histogram of the network
+    lands in the given registry under [net.*]. *)
 
 val sim : 'a t -> Sim.t
 val stats : 'a t -> Stats.t
@@ -101,7 +103,7 @@ val set_fault_hooks : 'a t -> 'a fault_hooks option -> unit
 val set_integrity : 'a t -> ('a -> bool) option -> unit
 (** Install a frame-integrity predicate — the abstract link-layer
     checksum. A frame failing it is discarded on arrival (counted in
-    {!integrity_drops}) before the handler sees it; under reliability
+    {!Stats.Integrity_drop}) before the handler sees it; under reliability
     the discard suppresses the ack, so the sender retransmits and a
     later clean copy still gets through. *)
 
@@ -145,33 +147,3 @@ val enabled : 'a t -> Sim.info list
 val fire : 'a t -> seq:int -> bool
 (** Fire one enabled event out of order; clock only moves forward. See
     {!Sim.fire}. *)
-
-val dropped_messages : 'a t -> int
-(** Transmission attempts lost to drops/partitions (including attempts
-    that were later retried successfully). *)
-
-val retransmissions : 'a t -> int
-(** Extra attempts made by the reliability layer. *)
-
-val lost_messages : 'a t -> int
-(** Messages abandoned after exhausting retries (always 0 without
-    reliability — unreliable sends are counted in
-    {!dropped_messages} only). *)
-
-val lost_for : 'a t -> Stats.category -> int
-(** {!lost_messages} restricted to one traffic category — lets a
-    harness attribute abandoned messages (e.g. lost object envelopes
-    vs lost subprotocol requests). *)
-
-val injected_drops : 'a t -> int
-(** Attempts lost to [fh_drop] windows (excludes ambient [drop_rate]
-    losses and severed links). *)
-
-val injected_duplicates : 'a t -> int
-(** Extra frame copies created by [fh_duplicates]. *)
-
-val corrupted_frames : 'a t -> int
-(** Transmitted copies whose payload was replaced by [fh_corrupt]. *)
-
-val integrity_drops : 'a t -> int
-(** Frames discarded on arrival by the {!set_integrity} predicate. *)

@@ -46,82 +46,110 @@ let of_index i =
   if i < 0 || i >= ncat then invalid_arg "Stats.of_index"
   else List.nth all_categories i
 
+type link_event =
+  | Dropped
+  | Retransmission
+  | Injected_drop
+  | Injected_duplicate
+  | Corrupted
+  | Integrity_drop
+
+let link_events =
+  [
+    Dropped; Retransmission; Injected_drop; Injected_duplicate; Corrupted;
+    Integrity_drop;
+  ]
+
+let link_event_name = function
+  | Dropped -> "dropped"
+  | Retransmission -> "retransmissions"
+  | Injected_drop -> "injected_drops"
+  | Injected_duplicate -> "injected_duplicates"
+  | Corrupted -> "corrupted_frames"
+  | Integrity_drop -> "integrity_drops"
+
+let link_index = function
+  | Dropped -> 0
+  | Retransmission -> 1
+  | Injected_drop -> 2
+  | Injected_duplicate -> 3
+  | Corrupted -> 4
+  | Integrity_drop -> 5
+
 module Metrics = Pti_obs.Metrics
 
+(* Every field is an instrument of the registry, looked up once at
+   [create]: the record holds no count of its own, so two views of one
+   registry see the same numbers. Arrays are indexed by [index] or
+   [link_index]. *)
 type t = {
-  bytes : int array;
-  messages : int array;
+  bytes : Metrics.counter array;  (* net.bytes.<category> *)
+  messages : Metrics.counter array;  (* net.messages.<category> *)
+  total_bytes : Metrics.counter;
+  total_messages : Metrics.counter;
+  rx_bytes : Metrics.counter array;  (* net.rx.bytes.<category> *)
+  rx_messages : Metrics.counter array;
+  lost : Metrics.counter array;  (* net.link.lost.<category> *)
+  links : Metrics.counter array;  (* net.link.<event> *)
   latencies : Metrics.histogram array;  (* net.latency_ms.<category> *)
-  (* Per-remote-peer round-trip EWMA: the latency signal a host accumulates
-     about the peers it talks to, which the cluster's mirror selector
-     ranks download candidates by. *)
-  rtts : (string, float) Hashtbl.t;
 }
 
 let create ?metrics () =
   let m = match metrics with Some m -> m | None -> Metrics.create () in
-  let t =
-    {
-      bytes = Array.make ncat 0;
-      messages = Array.make ncat 0;
-      latencies =
-        Array.init ncat (fun i ->
-            Metrics.histogram m ("net.latency_ms." ^ category_name (of_index i)));
-      rtts = Hashtbl.create 8;
-    }
+  let each xs name make prefix =
+    Array.of_list (List.map (fun x -> make m (prefix ^ name x)) xs)
   in
-  List.iter
-    (fun c ->
-      let i = index c in
-      Metrics.gauge_fn m
-        ("net.bytes." ^ category_name c)
-        (fun () -> float_of_int t.bytes.(i));
-      Metrics.gauge_fn m
-        ("net.messages." ^ category_name c)
-        (fun () -> float_of_int t.messages.(i)))
-    all_categories;
-  Metrics.gauge_fn m "net.bytes.total" (fun () ->
-      float_of_int (Array.fold_left ( + ) 0 t.bytes));
-  Metrics.gauge_fn m "net.messages.total" (fun () ->
-      float_of_int (Array.fold_left ( + ) 0 t.messages));
-  t
+  let per_category make = each all_categories category_name make in
+  {
+    bytes = per_category Metrics.counter "net.bytes.";
+    messages = per_category Metrics.counter "net.messages.";
+    total_bytes = Metrics.counter m "net.bytes.total";
+    total_messages = Metrics.counter m "net.messages.total";
+    rx_bytes = per_category Metrics.counter "net.rx.bytes.";
+    rx_messages = per_category Metrics.counter "net.rx.messages.";
+    lost = per_category Metrics.counter "net.link.lost.";
+    links = each link_events link_event_name Metrics.counter "net.link.";
+    latencies = per_category Metrics.histogram "net.latency_ms.";
+  }
 
 let record t c ~bytes =
   let i = index c in
-  t.bytes.(i) <- t.bytes.(i) + bytes;
-  t.messages.(i) <- t.messages.(i) + 1
+  Metrics.add t.bytes.(i) bytes;
+  Metrics.incr t.messages.(i);
+  Metrics.add t.total_bytes bytes;
+  Metrics.incr t.total_messages
 
-let bytes t c = t.bytes.(index c)
-let messages t c = t.messages.(index c)
-let total_bytes t = Array.fold_left ( + ) 0 t.bytes
-let total_messages t = Array.fold_left ( + ) 0 t.messages
+let record_rx t c ~bytes =
+  let i = index c in
+  Metrics.add t.rx_bytes.(i) bytes;
+  Metrics.incr t.rx_messages.(i)
+
+let value cs i = Metrics.counter_value cs.(i)
+let sum cs = Array.fold_left (fun acc c -> acc + Metrics.counter_value c) 0 cs
+let bytes t c = value t.bytes (index c)
+let messages t c = value t.messages (index c)
+let total_bytes t = Metrics.counter_value t.total_bytes
+let total_messages t = Metrics.counter_value t.total_messages
+let received_bytes t c = value t.rx_bytes (index c)
+let total_received_bytes t = sum t.rx_bytes
+let record_link t e = Metrics.incr t.links.(link_index e)
+let record_links t e n = Metrics.add t.links.(link_index e) n
+let link_count t e = value t.links (link_index e)
+let record_lost t c = Metrics.incr t.lost.(index c)
+let lost_for t c = value t.lost (index c)
+let lost_messages t = sum t.lost
 
 let reset t =
-  Array.fill t.bytes 0 ncat 0;
-  Array.fill t.messages 0 ncat 0;
-  Array.iter Metrics.clear_histogram t.latencies;
-  Hashtbl.reset t.rtts
+  List.iter (Array.iter Metrics.clear_counter)
+    [ t.bytes; t.messages; t.rx_bytes; t.rx_messages; t.lost; t.links ];
+  Metrics.clear_counter t.total_bytes;
+  Metrics.clear_counter t.total_messages;
+  Array.iter Metrics.clear_histogram t.latencies
 
 let record_latency t c ~ms = Metrics.observe t.latencies.(index c) ms
 
 let latency_percentile t c p =
   Metrics.quantile (Metrics.snapshot_histogram t.latencies.(index c)) p
-
-(* EWMA smoothing for RTT observations: heavy enough that one slow
-   round-trip does not reorder mirrors, light enough to track drift. *)
-let rtt_alpha = 0.3
-
-let record_rtt t ~peer ~ms =
-  match Hashtbl.find_opt t.rtts peer with
-  | None -> Hashtbl.replace t.rtts peer ms
-  | Some old ->
-      Hashtbl.replace t.rtts peer (((1. -. rtt_alpha) *. old) +. (rtt_alpha *. ms))
-
-let rtt t ~peer = Hashtbl.find_opt t.rtts peer
-
-let rtts t =
-  Hashtbl.fold (fun p v acc -> (p, v) :: acc) t.rtts []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
 
 let pp ppf t =
   Format.fprintf ppf "@[<v>%-14s %10s %12s@," "category" "messages" "bytes";

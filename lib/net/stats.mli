@@ -31,25 +31,73 @@ val of_index : int -> category
 (** Inverse of {!index}. @raise Invalid_argument out of range. *)
 
 type t
+(** A view of the [net.*] instruments of one {!Pti_obs.Metrics}
+    registry: every count of a fabric lives there, registered once by
+    {!create}; [Net] and the stream transports keep none of their own.
+    Fabrics sharing a registry pool their counts, as they pool latency
+    histograms. Every caller in this repository gives each fabric its
+    own registry. *)
 
 val create : ?metrics:Pti_obs.Metrics.t -> unit -> t
-(** Delivery latencies feed [net.latency_ms.<category>] histograms and
-    per-category byte/message totals are exported as
-    [net.bytes.<category>] / [net.messages.<category>] gauges
-    (snapshot-time callbacks) in [metrics], so the network shares one
-    registry with the peers that use it; without [metrics] they go to a
-    private registry. Two fabrics given the same registry share its
-    latency histograms. *)
+(** Counters [net.bytes.<c>], [net.messages.<c>], [net.bytes.total],
+    [net.messages.total], [net.rx.bytes.<c>], [net.rx.messages.<c>],
+    [net.link.lost.<c>] and one [net.link.<event>] per {!link_event},
+    plus [net.latency_ms.<c>] histograms, for every category [<c>].
+    Without [metrics] they go to a private registry. *)
 
 val record : t -> category -> bytes:int -> unit
+(** One sent copy of [bytes] bytes. Like every [record*], one counter
+    update per count and no allocation. *)
+
 val bytes : t -> category -> int
 val messages : t -> category -> int
 val total_bytes : t -> int
 val total_messages : t -> int
 
+val record_rx : t -> category -> bytes:int -> unit
+(** One received frame of [bytes] framed bytes. Stream transports only:
+    on the sim the sent-side counts already cover both directions. *)
+
+val received_bytes : t -> category -> int
+val total_received_bytes : t -> int
+
+(** {1 Link events} *)
+
+type link_event =
+  | Dropped
+      (** [net.link.dropped]: a transmission attempt lost to ambient
+          loss, a partition, a down window, an injected drop or a
+          missing destination (including attempts later retried). *)
+  | Retransmission
+      (** [net.link.retransmissions]: sim, an ARQ retry; streams, a
+          reconnect attempt. *)
+  | Injected_drop  (** [net.link.injected_drops]: eaten by [fh_drop]. *)
+  | Injected_duplicate
+      (** [net.link.injected_duplicates]: an extra copy from
+          [fh_duplicates]. *)
+  | Corrupted
+      (** [net.link.corrupted_frames]: a copy [fh_corrupt] replaced. *)
+  | Integrity_drop
+      (** [net.link.integrity_drops]: a frame discarded on arrival — the
+          integrity predicate refused it, or (streams) the codec or
+          framing could not decode it. *)
+
+val record_link : t -> link_event -> unit
+val record_links : t -> link_event -> int -> unit
+val link_count : t -> link_event -> int
+
+val record_lost : t -> category -> unit
+(** One message abandoned: the sim's ARQ ran out of retries, or a
+    stream link gave up redialing with the frame still queued. An
+    unreliable sim never abandons; its drops are only {!Dropped}. *)
+
+val lost_for : t -> category -> int
+val lost_messages : t -> int
+(** {!lost_for} summed over every category. *)
+
 val reset : t -> unit
-(** Zeroes the traffic totals, clears the latency histograms (shared
-    ones included) and forgets the RTT estimates. *)
+(** Zeroes every count of the view and clears its latency histograms
+    (shared ones included). *)
 
 (** {1 Delivery latencies}
 
@@ -67,24 +115,6 @@ val latency_percentile : t -> category -> float -> float option
     nearest-rank, at most 12.5 % above the exact value, exact for the
     minimum and maximum. [None] when nothing was recorded.
     @raise Invalid_argument unless the argument is in [\[0;1\]]. *)
-
-(** {1 Per-peer round-trip observations}
-
-    A host's own view of how far away each peer it talks to is — fed by
-    the layers that can pair a request with its reply (the cluster's
-    gossip exchanges), read by the mirror selector to rank download
-    candidates. Deliberately per-{!t}: give each node its own [Stats.t]
-    and the knowledge stays local, the way it would on a real network. *)
-
-val record_rtt : t -> peer:string -> ms:float -> unit
-(** Fold one observed round-trip into the peer's exponentially weighted
-    moving average (fresh peers start at the observed value). *)
-
-val rtt : t -> peer:string -> float option
-(** Current EWMA estimate; [None] before any observation. *)
-
-val rtts : t -> (string * float) list
-(** All estimates, sorted by peer address. *)
 
 val pp : Format.formatter -> t -> unit
 (** Aligned table of category / messages / bytes. *)

@@ -89,7 +89,8 @@ let counter t name =
           Hashtbl.replace t.tbl name (Icounter r);
           r)
 
-let incr ?(by = 1) c = ignore (Atomic.fetch_and_add c by)
+let incr c = Atomic.incr c
+let add c n = ignore (Atomic.fetch_and_add c n)
 let counter_value c = Atomic.get c
 
 let gauge t name =
@@ -324,6 +325,8 @@ let to_json (s : snapshot) =
   Buffer.add_char b '}';
   Buffer.contents b
 
+let clear_counter c = Atomic.set c 0
+
 let clear_histogram h =
   Mutex.lock h.h_mu;
   Array.fill h.counts 0 (Array.length h.counts) 0;
@@ -341,7 +344,7 @@ let reset t =
   List.iter
     (fun i ->
       match i with
-      | Icounter r -> Atomic.set r 0
+      | Icounter r -> clear_counter r
       | Igauge g -> set_gauge g 0.
       | Igauge_fn _ -> ()
       | Ihist h -> clear_histogram h)

@@ -35,8 +35,13 @@ val default : t
 type counter
 
 val counter : t -> string -> counter
-val incr : ?by:int -> counter -> unit
+val incr : counter -> unit
+
+val add : counter -> int -> unit
+(** Allocation-free, like {!incr}: the amount is never a boxed option. *)
+
 val counter_value : counter -> int
+val clear_counter : counter -> unit
 
 type gauge
 

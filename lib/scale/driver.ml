@@ -142,8 +142,6 @@ let run ?metrics cfg =
   let c_flash_sends = Metrics.counter m "scale.flash.sends" in
   let c_flash_tdesc = Metrics.counter m "scale.flash.tdesc_fetches" in
   let c_flash_asm = Metrics.counter m "scale.flash.asm_fetches" in
-  let c_tdesc_req = Metrics.counter m "scale.fetch.tdesc_requests" in
-  let c_asm_req = Metrics.counter m "scale.fetch.asm_requests" in
   let hist = Metrics.histogram m "scale.latency_ms" in
   Metrics.set_gauge (Metrics.gauge m "scale.sessions")
     (float_of_int cfg.sessions);
@@ -163,17 +161,15 @@ let run ?metrics cfg =
   let trace = ref (Fnv.hash64 "pti-scale-trace") in
   let tr fmt = Printf.ksprintf (fun s -> trace := Fnv.hash64 ~init:!trace s) fmt in
   (* Flash-crowd fetch attribution by destination address: requests the
-     shards aim at the hot publisher are herd fetches. *)
+     shards aim at the hot publisher are herd fetches. (Fetch totals need
+     no observer: the net has no ARQ, so each request is one message in
+     its Stats category.) *)
   let hot_addr = ref "" in
   Net.on_send net (fun ~now:_ ~src:_ ~dst ~category ~size:_ ~attempt ->
-      if attempt = 0 then
+      if attempt = 0 && String.equal dst !hot_addr then
         match category with
-        | Stats.Tdesc_request ->
-            Metrics.incr c_tdesc_req;
-            if String.equal dst !hot_addr then Metrics.incr c_flash_tdesc
-        | Stats.Asm_request ->
-            Metrics.incr c_asm_req;
-            if String.equal dst !hot_addr then Metrics.incr c_flash_asm
+        | Stats.Tdesc_request -> Metrics.incr c_flash_tdesc
+        | Stats.Asm_request -> Metrics.incr c_flash_asm
         | _ -> ());
   let sessions =
     Array.init cfg.sessions (fun id ->
@@ -371,8 +367,8 @@ let run ?metrics cfg =
     r_deliveries = deliveries;
     r_rejections = rejections;
     r_undelivered = undelivered;
-    r_tdesc_fetches = Metrics.counter_value c_tdesc_req;
-    r_asm_fetches = Metrics.counter_value c_asm_req;
+    r_tdesc_fetches = Stats.messages (Net.stats net) Stats.Tdesc_request;
+    r_asm_fetches = Stats.messages (Net.stats net) Stats.Asm_request;
     r_flash_sends = Metrics.counter_value c_flash_sends;
     r_flash_tdesc_fetches = Metrics.counter_value c_flash_tdesc;
     r_flash_asm_fetches = Metrics.counter_value c_flash_asm;

@@ -249,8 +249,13 @@ let payload_of_xml x =
       | None -> Error (Malformed "bad base64 payload"))
   | other -> Error (Malformed (Printf.sprintf "unknown encoding %S" other))
 
+let is_typeref = function Xml.Element ("typeref", _, _) -> true | _ -> false
+
 let of_xml x =
   match Xml.tag x with
+  | Some "envelope" when List.exists is_typeref (Xml.children x) ->
+      (* Handle references only exist in the binary PTIE form. *)
+      Error (Malformed "<typeref> in an XML envelope")
   | Some "envelope" ->
       let* env_types = map_result entry_of_elt (Xml.childs "type" x) in
       let* env_payload = payload_of_xml x in
@@ -279,157 +284,11 @@ let size_bytes t = String.length (to_string t)
 
 (* ------------------- negotiated type handles ----------------------- *)
 
-(* A handle-encoded envelope replaces repeat type entries with
-   [<typeref handle="n"/>] references into a per-link table negotiated
-   on first use ([`Bind] ships the full entry together with its handle).
-   Two digests guard it: [digest] is semantic — computed over the fully
-   reconstructed envelope, so a stale or corrupted table binding can
-   never pass as an intact delivery — and [wire] covers the literal
-   document content (including the bare handle numbers), so frame-level
-   integrity checks need no table at all. *)
+(* A handle-encoded envelope replaces repeat type entries with integer
+   references into a per-link table negotiated on first use ([`Bind]
+   ships the full entry together with its handle). *)
 
 type handle_form = [ `Plain | `Bind of int | `Ref of int ]
-
-let wire_digest forms payload =
-  let slot h (form, e) =
-    match (form : handle_form) with
-    | `Plain -> fold_entry (field h "P") e
-    | `Bind n -> fold_entry (field (field h "B") (string_of_int n)) e
-    | `Ref n -> field (field h "R") (string_of_int n)
-  in
-  Fnv.to_hex (fold_payload (List.fold_left slot Fnv.offset_basis forms) payload)
-
-let to_xml_h t ~form =
-  let forms = List.map (fun e -> ((form e : handle_form), e)) t.env_types in
-  let open Xml in
-  elt "envelope"
-    ~attrs:
-      [ ("digest", digest t); ("wire", wire_digest forms t.env_payload) ]
-    (List.map
-       (fun (f, e) ->
-         match f with
-         | `Plain -> elt "type" ~attrs:(entry_attrs e) []
-         | `Bind h ->
-             elt "type"
-               ~attrs:(entry_attrs e @ [ ("handle", string_of_int h) ])
-               []
-         | `Ref h -> elt "typeref" ~attrs:[ ("handle", string_of_int h) ] [])
-       forms
-    @ [ payload_to_xml t.env_payload ])
-
-let to_string_h_xml t ~form = Xml.to_string (to_xml_h t ~form)
-
-let handle_attr e =
-  match Xml.attr "handle" e with
-  | None -> Ok None
-  | Some s -> (
-      match int_of_string_opt s with
-      | Some h when h > 0 -> Ok (Some h)
-      | _ -> Error (Malformed (Printf.sprintf "bad handle %S" s)))
-
-(* [resolve] consults the per-link table for [`Ref] handles; bindings
-   shipped earlier in the same envelope are visible to later refs. The
-   result carries the new bindings so the caller can install them. *)
-let of_xml_h ~resolve x =
-  match Xml.tag x with
-  | Some "envelope" ->
-      let* parsed =
-        map_result
-          (fun e ->
-            match Xml.tag e with
-            | Some "type" ->
-                let* entry = entry_of_elt e in
-                let* h = handle_attr e in
-                Ok
-                  (match h with
-                  | None -> (`Plain, `Entry entry)
-                  | Some h -> (`Bind h, `Entry entry))
-            | Some "typeref" ->
-                let* h = handle_attr e in
-                let* h =
-                  match h with
-                  | Some h -> Ok h
-                  | None -> Error (Malformed "typeref without handle")
-                in
-                Ok (`Ref h, `Handle h)
-            | _ -> Ok (`Skip, `Skip))
-          (List.filter
-             (function
-               | Xml.Element (t, _, _) -> t = "type" || t = "typeref"
-               | _ -> false)
-             (Xml.children x))
-      in
-      let* env_payload = payload_of_xml x in
-      (* Wire-level integrity first: it needs no table, and a flipped
-         handle number must surface as [Corrupt], not as a spurious
-         renegotiation (or worse, a wrong-table hit). *)
-      let forms =
-        List.filter_map
-          (fun (form, what) ->
-            match (form, what) with
-            | `Plain, `Entry e -> Some ((`Plain : handle_form), e)
-            | `Bind h, `Entry e -> Some (`Bind h, e)
-            | `Ref h, `Handle _ ->
-                Some
-                  ( `Ref h,
-                    {
-                      te_name = "";
-                      te_guid = Guid.nil;
-                      te_assembly = "";
-                      te_download_path = "";
-                      te_version = 0;
-                    } )
-            | _ -> None)
-          parsed
-      in
-      let* () =
-        match Xml.attr "wire" x with
-        | None -> Ok ()
-        | Some d when String.equal d (wire_digest forms env_payload) -> Ok ()
-        | Some _ -> Error (Corrupt "envelope wire digest mismatch")
-      in
-      let bindings =
-        List.filter_map
-          (function `Bind h, `Entry e -> Some (h, e) | _ -> None)
-          parsed
-      in
-      let unknown = ref [] in
-      let env_types =
-        List.filter_map
-          (fun (form, what) ->
-            match (form, what) with
-            | _, `Entry e -> Some e
-            | `Ref h, `Handle _ -> (
-                match List.assoc_opt h bindings with
-                | Some e -> Some e
-                | None -> (
-                    match resolve h with
-                    | Some e -> Some e
-                    | None ->
-                        if not (List.mem h !unknown) then
-                          unknown := h :: !unknown;
-                        None))
-            | _ -> None)
-          parsed
-      in
-      let* () =
-        match List.rev !unknown with
-        | [] -> Ok ()
-        | hs -> Error (Unknown_handles hs)
-      in
-      let t = { env_types; env_payload } in
-      (* Semantic digest over the reconstruction: a wrong binding in the
-         link table can never produce an intact-looking envelope. *)
-      let* () =
-        match Xml.attr "digest" x with
-        | None -> Ok ()
-        | Some d when String.equal d (digest t) -> Ok ()
-        | Some _ -> Error (Corrupt "envelope digest mismatch")
-      in
-      Ok (t, bindings)
-  | Some other ->
-      Error (Malformed (Printf.sprintf "expected <envelope>, got <%s>" other))
-  | None -> Error (Malformed "expected an element")
 
 (* ---------------- compact binary wire form (PTIE) ------------------ *)
 
@@ -449,11 +308,12 @@ let of_xml_h ~resolve x =
            block with [at_end], so pre-evolution frames (no block, all
            versions 0) decode unchanged in both directions
 
-   The frame checksum replaces the XML form's [wire] digest (literal
-   content integrity, no table needed); [digest8] is the raw semantic
-   digest over the reconstructed envelope, serving exactly like the
-   XML [digest] attribute. The XML handle form remains accepted on
-   decode as the interop fallback. *)
+   The frame checksum covers the literal content (integrity with no
+   table needed); [digest8] is the raw semantic digest over the
+   reconstructed envelope, serving exactly like the classic envelope's
+   [digest] attribute — a stale or corrupted table binding can never
+   pass as an intact delivery. Anything that is not a PTIE frame is
+   decoded as a classic XML envelope, which has no handles. *)
 
 module W = Bytes_io.Writer
 module R = Bytes_io.Reader
@@ -612,14 +472,11 @@ let of_string_hb ~resolve s =
 
 let of_string_h ~resolve s =
   if is_binary_h s then of_string_hb ~resolve s
-  else
-    match Xml.parse s with
-    | Error e -> Error (Malformed (Format.asprintf "%a" Xml.pp_error e))
-    | Ok x -> of_xml_h ~resolve x
+  else Result.map (fun t -> (t, [])) (of_string s)
 
 (* Frame-level integrity probe for the chaos harness: true iff the
-   document parses and its checksum / wire digest (or, for plain XML
-   envelopes, the semantic digest) matches. Unknown handles do not make
+   document parses and its checksum (or, for classic XML envelopes, the
+   semantic digest) matches. Unknown handles do not make
    a frame dirty — they are a table condition, not wire damage. *)
 let wire_ok s =
   match of_string_h ~resolve:(fun _ -> None) s with

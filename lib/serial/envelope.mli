@@ -76,6 +76,9 @@ val decode_payload : Registry.t -> t -> (Value.value, error) result
 
 val to_xml : t -> Pti_xml.Xml.t
 val of_xml : Pti_xml.Xml.t -> (t, error) result
+(** A classic envelope. A [<typeref>] element (a handle reference,
+    which only the binary form can carry) makes it [Malformed]. *)
+
 val to_string : t -> string
 val of_string : string -> (t, error) result
 
@@ -87,10 +90,10 @@ val size_bytes : t -> int
     is a small integer. [`Bind h] ships the full entry together with
     its assigned handle (first use), [`Ref h] ships only the handle,
     [`Plain] is the classic self-describing form. Handle-encoded
-    envelopes carry two digests: the semantic [digest] over the fully
-    reconstructed envelope (a drifted table binding can never deliver a
-    mis-typed payload) and a [wire] digest over the literal document
-    (frame integrity without a table). *)
+    envelopes travel only as compact binary frames, which carry a
+    checksum over the literal frame (integrity without a table) and
+    the semantic digest over the fully reconstructed envelope (a
+    drifted table binding can never deliver a mis-typed payload). *)
 
 type handle_form = [ `Plain | `Bind of int | `Ref of int ]
 
@@ -98,19 +101,15 @@ val to_string_h : t -> form:(type_entry -> handle_form) -> string
 (** Renders with the per-entry form chosen by [form] — typically a
     lookup in the sender side of a {!Handle_table} — as a compact
     checksummed binary frame ([PTIE] magic, raw payload bytes, no
-    base64). The checksum plays the wire-digest role; the embedded raw
+    base64). The checksum guards the literal frame; the embedded raw
     semantic digest plays the [digest]-attribute role. *)
-
-val to_string_h_xml : t -> form:(type_entry -> handle_form) -> string
-(** The same handle encoding in the XML wire form (a [wire] digest
-    attribute plus [<typeref handle="n"/>] elements) — the interop
-    fallback; {!of_string_h} accepts both. *)
 
 val of_string_h :
   resolve:(int -> type_entry option) ->
   string ->
   (t * (int * type_entry) list, error) result
-(** Parses either classic or handle-encoded envelopes. [resolve]
+(** Parses a handle-encoded binary frame or, for any other input, a
+    classic XML envelope (via {!of_string}, with no bindings). [resolve]
     consults the receiver's link table; bindings shipped in the same
     envelope are visible to its own refs. On success also returns the
     new bindings so the caller can install them. Fails with
@@ -118,6 +117,6 @@ val of_string_h :
     caller should NAK and park), with [Corrupt] on digest mismatch. *)
 
 val wire_ok : string -> bool
-(** Frame-level integrity probe: the document parses and its wire (or,
-    for classic envelopes, semantic) digest matches. Unknown handles
+(** Frame-level integrity probe: the frame parses and its checksum
+    (or, for classic envelopes, semantic digest) matches. Unknown handles
     are a table condition, not wire damage, and leave the frame ok. *)

@@ -20,7 +20,8 @@
    policy knobs drive reconnect-with-backoff instead — a failed dial
    retries on an exponential [Arq.backoff_ms] schedule until
    [max_retries] is exhausted, with frames buffered while dialing and
-   counted lost when the link is abandoned.
+   charged lost (per category, in [Stats]) when the link is abandoned.
+   Every count the fabric keeps lives in its [Stats] view.
 
    Fault injection: the same [Net.fault_hooks] record the sim honors is
    applied here as send-side middleware (drop / duplicate / delay /
@@ -88,15 +89,6 @@ type 'a t = {
   mutable faults : 'a Net.fault_hooks option;
   mutable integrity : ('a -> bool) option;
   mutable listeners : (conn_event -> unit) list;
-  rx_bytes : int array;  (* receive-side accounting, by category index *)
-  rx_messages : int array;
-  mutable dropped : int;
-  mutable lost : int;
-  mutable reconnects : int;
-  mutable injected_drops : int;
-  mutable injected_duplicates : int;
-  mutable corrupted_frames : int;
-  mutable integrity_drops : int;
   mutable closed : bool;
 }
 
@@ -142,15 +134,6 @@ let create ~family ?(policy = Arq.default) ?(unix_dir = "") ?(tcp_host = "127.0.
     faults = None;
     integrity = None;
     listeners = [];
-    rx_bytes = Array.make ncat 0;
-    rx_messages = Array.make ncat 0;
-    dropped = 0;
-    lost = 0;
-    reconnects = 0;
-    injected_drops = 0;
-    injected_duplicates = 0;
-    corrupted_frames = 0;
-    integrity_drops = 0;
     closed = false;
   }
 
@@ -384,14 +367,17 @@ let rec try_dial t ~src ~dst =
                     let attempt = p.pd_attempt in
                     p.pd_attempt <- attempt + 1;
                     if Arq.give_up t.policy ~attempt:(attempt + 1) then begin
-                      (* Link abandoned: everything buffered for it is lost. *)
-                      t.lost <- t.lost + Queue.length p.pd_frames;
+                      (* Link abandoned: everything buffered for it is
+                         lost, each frame charged to its own category. *)
+                      Queue.iter
+                        (fun (c, _) -> Stats.record_lost t.stats c)
+                        p.pd_frames;
                       Queue.clear p.pd_frames;
                       p.pd_attempt <- 0
                     end
                     else if not p.pd_timer then begin
                       p.pd_timer <- true;
-                      t.reconnects <- t.reconnects + 1;
+                      Stats.record_link t.stats Retransmission;
                       Clock.schedule t.clock
                         ~label:
                           (Clock.Timer
@@ -433,7 +419,7 @@ let send t ep ?info:_ ~dst ~category ~size:_ payload =
       | None -> 0
       | Some f -> max 0 (f.Net.fh_duplicates ~now ~src ~dst))
   in
-  if copies > 1 then t.injected_duplicates <- t.injected_duplicates + (copies - 1);
+  if copies > 1 then Stats.record_links t.stats Injected_duplicate (copies - 1);
   for _copy = 1 to copies do
     (* Sampled per copy, like the sim: each copy is independently
        dropped, corrupted and delayed. Bytes are charged for every copy
@@ -446,7 +432,7 @@ let send t ep ?info:_ ~dst ~category ~size:_ payload =
           match f.Net.fh_corrupt ~now ~src ~dst payload with
           | None -> payload
           | Some p ->
-              t.corrupted_frames <- t.corrupted_frames + 1;
+              Stats.record_link t.stats Corrupted;
               p)
     in
     let frame = data_frame t ~category (t.codec.c_encode payload) in
@@ -458,10 +444,11 @@ let send t ep ?info:_ ~dst ~category ~size:_ payload =
       | None -> false
       | Some f ->
           let hit = f.Net.fh_drop ~now ~src ~dst in
-          if hit then t.injected_drops <- t.injected_drops + 1;
+          if hit then Stats.record_link t.stats Injected_drop;
           hit
     in
-    if severed t ~src ~dst || injected_drop then t.dropped <- t.dropped + 1
+    if severed t ~src ~dst || injected_drop then
+      Stats.record_link t.stats Dropped
     else
       let delay =
         match t.faults with
@@ -503,7 +490,7 @@ let dispatch t c frame_len payload =
         emit t (Connected { local = c.cn_local; peer })
     | 0x44 -> (
         match c.cn_peer with
-        | None -> t.dropped <- t.dropped + 1  (* data before hello *)
+        | None -> Stats.record_link t.stats Dropped  (* data before hello *)
         | Some peer ->
             let cat_idx = R.u8 r in
             let stamp = R.f64 r in
@@ -513,29 +500,26 @@ let dispatch t c frame_len payload =
             let category =
               if cat_idx < ncat then Stats.of_index cat_idx else Stats.Control
             in
-            t.rx_bytes.(Stats.index category) <-
-              t.rx_bytes.(Stats.index category) + frame_len;
-            t.rx_messages.(Stats.index category) <-
-              t.rx_messages.(Stats.index category) + 1;
+            Stats.record_rx t.stats category ~bytes:frame_len;
             if severed t ~src:peer ~dst:c.cn_local then
               (* A partition cut while the frame sat in kernel buffers
                  kills it on arrival, mirroring the sim's in-flight cut. *)
-              t.dropped <- t.dropped + 1
+              Stats.record_link t.stats Dropped
             else (
               match t.codec.c_decode body with
-              | Error _ -> t.integrity_drops <- t.integrity_drops + 1
+              | Error _ -> Stats.record_link t.stats Integrity_drop
               | Ok v -> (
                   match t.integrity with
                   | Some chk when not (chk v) ->
-                      t.integrity_drops <- t.integrity_drops + 1
+                      Stats.record_link t.stats Integrity_drop
                   | _ -> (
                       Stats.record_latency t.stats category
                         ~ms:(Float.max 0. (wall_ms () -. stamp));
                       match Hashtbl.find_opt t.endpoints c.cn_local with
-                      | None -> t.dropped <- t.dropped + 1
+                      | None -> Stats.record_link t.stats Dropped
                       | Some ep -> ep.ep_handler ~src:peer v))))
-    | _ -> t.integrity_drops <- t.integrity_drops + 1
-  with R.Underflow _ -> t.integrity_drops <- t.integrity_drops + 1
+    | _ -> Stats.record_link t.stats Integrity_drop
+  with R.Underflow _ -> Stats.record_link t.stats Integrity_drop
 
 let read_chunk = Bytes.create 65536
 
@@ -555,7 +539,7 @@ let service_read t c =
           | Ok None -> ()
           | Error _ ->
               (* Unframeable garbage: the stream is unrecoverable. *)
-              t.integrity_drops <- t.integrity_drops + 1;
+              Stats.record_link t.stats Integrity_drop;
               kill_conn t c
       in
       drain ()
@@ -647,7 +631,7 @@ let drive_until t ?deadline_ms pred =
   in
   go ()
 
-(* ---- faults / partitions / accounting -------------------------------- *)
+(* ---- faults / partitions / introspection ----------------------------- *)
 
 let set_fault_hooks t f = t.faults <- f
 let set_integrity t f = t.integrity <- f
@@ -657,16 +641,6 @@ let heal t a b = Hashtbl.remove t.partitions (link_key a b)
 let clock t = t.clock
 let stats t = t.stats
 let family t = t.family
-let dropped t = t.dropped
-let lost t = t.lost
-let reconnects t = t.reconnects
-let injected_drops t = t.injected_drops
-let injected_duplicates t = t.injected_duplicates
-let corrupted_frames t = t.corrupted_frames
-let integrity_drops t = t.integrity_drops
-let received_bytes t c = t.rx_bytes.(Stats.index c)
-let received_messages t c = t.rx_messages.(Stats.index c)
-let total_received_bytes t = Array.fold_left ( + ) 0 t.rx_bytes
 
 let endpoints t =
   Hashtbl.fold (fun a _ acc -> a :: acc) t.endpoints []

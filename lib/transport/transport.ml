@@ -171,39 +171,15 @@ let heal t a b =
   | Sim_f sf -> Net.heal sf.net a b
   | Stream_f s -> Stream.heal s a b
 
-let dropped_messages = function
-  | Sim_f sf -> Net.dropped_messages sf.net
-  | Stream_f s -> Stream.dropped s
-
-let lost_messages = function
-  | Sim_f sf -> Net.lost_messages sf.net
-  | Stream_f s -> Stream.lost s
-
-let retransmissions = function
-  | Sim_f sf -> Net.retransmissions sf.net
-  | Stream_f s -> Stream.reconnects s
-
-let injected_drops = function
-  | Sim_f sf -> Net.injected_drops sf.net
-  | Stream_f s -> Stream.injected_drops s
-
-let injected_duplicates = function
-  | Sim_f sf -> Net.injected_duplicates sf.net
-  | Stream_f s -> Stream.injected_duplicates s
-
-let corrupted_frames = function
-  | Sim_f sf -> Net.corrupted_frames sf.net
-  | Stream_f s -> Stream.corrupted_frames s
-
-let integrity_drops = function
-  | Sim_f sf -> Net.integrity_drops sf.net
-  | Stream_f s -> Stream.integrity_drops s
-
-let received_bytes t c =
-  match t with Sim_f _ -> 0 | Stream_f s -> Stream.received_bytes s c
-
-let total_received_bytes = function
-  | Sim_f _ -> 0
-  | Stream_f s -> Stream.total_received_bytes s
+let link_count t e = Stats.link_count (stats t) e
+let dropped_messages t = link_count t Stats.Dropped
+let lost_messages t = Stats.lost_messages (stats t)
+let retransmissions t = link_count t Stats.Retransmission
+let injected_drops t = link_count t Stats.Injected_drop
+let injected_duplicates t = link_count t Stats.Injected_duplicate
+let corrupted_frames t = link_count t Stats.Corrupted
+let integrity_drops t = link_count t Stats.Integrity_drop
+let received_bytes t c = Stats.received_bytes (stats t) c
+let total_received_bytes t = Stats.total_received_bytes (stats t)
 
 let close = function Sim_f _ -> () | Stream_f s -> Stream.close s

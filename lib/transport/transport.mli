@@ -3,7 +3,8 @@
     A transport [t] is everything a protocol stack needs from the
     network: endpoints addressed by logical names, [send], timers/acts
     on the backend's {!Pti_net.Clock}, connection lifecycle events,
-    fault-injection middleware and per-category accounting. Backends:
+    fault-injection middleware and per-category accounting in one
+    {!Pti_net.Stats} view. Backends:
 
     - {b sim} — wraps an ['a Net.t] {e unchanged}: sends, ARQ, fault
       hooks, partitions and the model checker's [enabled]/[fire]
@@ -201,26 +202,21 @@ val set_integrity : 'a t -> ('a -> bool) option -> unit
 val partition : _ t -> address -> address -> unit
 val heal : _ t -> address -> address -> unit
 
-(** {1 Accounting} *)
+(** {1 Accounting}
+
+    One-line reads of {!stats}, the same on every backend; see
+    {!Pti_net.Stats.link_event} for what each count means. *)
 
 val dropped_messages : _ t -> int
 val lost_messages : _ t -> int
-(** Sim: ARQ gave up. Streams: frames abandoned after reconnect
-    retries were exhausted. *)
-
 val retransmissions : _ t -> int
-(** Sim: ARQ retries. Streams: reconnect attempts. *)
-
 val injected_drops : _ t -> int
 val injected_duplicates : _ t -> int
 val corrupted_frames : _ t -> int
 val integrity_drops : _ t -> int
-(** Streams also count undecodable frames (wire damage detected by the
-    codec) here. *)
 
 val received_bytes : _ t -> Pti_net.Stats.category -> int
-(** Stream receive-side accounting (actual framed bytes); 0 on sim —
-    the sim's single [Stats.t] already sees both directions. *)
+(** Framed bytes received, on streams; 0 on sim. *)
 
 val total_received_bytes : _ t -> int
 

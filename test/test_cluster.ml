@@ -124,8 +124,28 @@ let test_gossip_spreads_types_and_paths () =
   (* The exchange round-trips also feed RTT estimates somewhere. *)
   Alcotest.(check bool) "some rtt observed" true
     (List.exists
-       (fun n -> Stats.rtts (Node.stats n) <> [])
+       (fun n ->
+         List.exists (fun (a, _) -> Node.rtt n a <> None) (Node.members n))
        (Cluster.nodes c))
+
+(* Each node keeps its own RTT estimate per partner: an EWMA weighting
+   each new round-trip by 0.3, the first sample taken as is. On a link
+   with fixed latency and practically unbounded bandwidth, a gossip
+   exchange takes two latencies. *)
+let test_rtt_ewma () =
+  let net = Net.create ~seed:7L () in
+  let c = Cluster.create ~transport:(Transport.of_net net) [ "n1"; "n2" ] in
+  let n1 = Cluster.node c "n1" in
+  let rtt = Alcotest.(check (option (float 1e-6))) in
+  rtt "nothing before an exchange" None (Node.rtt n1 "n2");
+  Net.set_link net "n1" "n2" ~latency_ms:5. ~bandwidth_bpms:1e12;
+  Cluster.run_rounds c 1;
+  rtt "first sample taken as is" (Some 10.) (Node.rtt n1 "n2");
+  Net.set_link net "n1" "n2" ~latency_ms:25. ~bandwidth_bpms:1e12;
+  Cluster.run_rounds c 1;
+  rtt "0.7 * 10 + 0.3 * 50" (Some 22.) (Node.rtt n1 "n2");
+  rtt "the partner keeps its own estimate" (Some 22.)
+    (Node.rtt (Cluster.node c "n2") "n1")
 
 let test_gossip_is_deterministic () =
   let run () =
@@ -373,6 +393,7 @@ let () =
           Alcotest.test_case "spreads types and paths" `Quick
             test_gossip_spreads_types_and_paths;
           Alcotest.test_case "deterministic" `Quick test_gossip_is_deterministic;
+          Alcotest.test_case "rtt ewma" `Quick test_rtt_ewma;
         ] );
       ( "replication",
         [

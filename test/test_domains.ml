@@ -26,7 +26,7 @@ let test_counter_conservation () =
         Domain.spawn (fun () ->
             (* Mixed steps so interleavings differ between domains. *)
             for i = 1 to per do
-              Metrics.incr ~by:(1 + ((i + d) land 1)) c
+              Metrics.add c (1 + ((i + d) land 1))
             done))
   in
   List.iter Domain.join doms;

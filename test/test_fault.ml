@@ -158,7 +158,8 @@ let test_loss_window_counts_drops () =
   in
   let net, delivered = burst_world plan in
   (* Sends at 50..140 ms fall inside the window: exactly 10 drops. *)
-  Alcotest.(check int) "injected drops" 10 (Net.injected_drops net);
+  Alcotest.(check int) "injected drops" 10
+    (Stats.link_count (Net.stats net) Stats.Injected_drop);
   Alcotest.(check int) "delivered the rest" 10 delivered
 
 let test_duplicate_window_counts_copies () =
@@ -169,7 +170,8 @@ let test_duplicate_window_counts_copies () =
     }
   in
   let net, delivered = burst_world plan in
-  Alcotest.(check int) "injected duplicates" 10 (Net.injected_duplicates net);
+  Alcotest.(check int) "injected duplicates" 10
+    (Stats.link_count (Net.stats net) Stats.Injected_duplicate);
   (* Without ARQ there is no dedup: the copies all arrive. *)
   Alcotest.(check int) "double delivery without ARQ" 30 delivered
 

@@ -4,6 +4,10 @@ module Sim = Pti_net.Sim
 module Net = Pti_net.Net
 module Stats = Pti_net.Stats
 
+let link_count net e = Stats.link_count (Net.stats net) e
+let lost_for net c = Stats.lost_for (Net.stats net) c
+let lost_messages net = Stats.lost_messages (Net.stats net)
+
 let test_sim_ordering () =
   let sim = Sim.create () in
   let trace = ref [] in
@@ -101,7 +105,7 @@ let test_net_partition () =
   Net.send net ~src:"a" ~dst:"b" ~category:Stats.Control ~size:1 ();
   Net.run net;
   Alcotest.(check int) "dropped" 0 !delivered;
-  Alcotest.(check int) "counted" 1 (Net.dropped_messages net);
+  Alcotest.(check int) "counted" 1 (link_count net Stats.Dropped);
   Net.heal net "a" "b";
   Net.send net ~src:"a" ~dst:"b" ~category:Stats.Control ~size:1 ();
   Net.run net;
@@ -117,7 +121,7 @@ let test_net_drop_rate () =
   done;
   Net.run net;
   Alcotest.(check int) "all dropped" 0 !delivered;
-  Alcotest.(check int) "all counted" 10 (Net.dropped_messages net)
+  Alcotest.(check int) "all counted" 10 (link_count net Stats.Dropped)
 
 let test_net_unknown_host () =
   let net = Net.create () in
@@ -145,8 +149,8 @@ let test_reliable_survives_loss () =
     (List.init 50 (fun i -> i + 1))
     (List.sort compare !got);
   Alcotest.(check bool) "retransmissions happened" true
-    (Net.retransmissions net > 0);
-  Alcotest.(check int) "nothing abandoned" 0 (Net.lost_messages net)
+    (link_count net Stats.Retransmission > 0);
+  Alcotest.(check int) "nothing abandoned" 0 (lost_messages net)
 
 let test_reliable_gives_up_on_partition () =
   let reliability = { Net.default_reliability with Net.max_retries = 2 } in
@@ -158,8 +162,8 @@ let test_reliable_gives_up_on_partition () =
   Net.send net ~src:"a" ~dst:"b" ~category:Stats.Control ~size:1 ();
   Net.run net;
   Alcotest.(check int) "never delivered" 0 !delivered;
-  Alcotest.(check int) "abandoned after retries" 1 (Net.lost_messages net);
-  Alcotest.(check int) "3 attempts" 3 (Net.dropped_messages net)
+  Alcotest.(check int) "abandoned after retries" 1 (lost_messages net);
+  Alcotest.(check int) "3 attempts" 3 (link_count net Stats.Dropped)
 
 let test_reliable_delivers_after_heal () =
   (* A partition shorter than the retry budget only delays delivery. *)
@@ -177,7 +181,7 @@ let test_reliable_delivers_after_heal () =
   Pti_net.Sim.schedule (Net.sim net) ~delay:35. (fun () -> Net.heal net "a" "b");
   Net.run net;
   Alcotest.(check bool) "delivered after heal" true (!delivered_at >= 35.);
-  Alcotest.(check int) "not abandoned" 0 (Net.lost_messages net)
+  Alcotest.(check int) "not abandoned" 0 (lost_messages net)
 
 let test_partition_kills_in_flight () =
   (* A cut severs messages already on the wire, not just future sends. *)
@@ -191,7 +195,7 @@ let test_partition_kills_in_flight () =
       Net.partition net "a" "b");
   Net.run net;
   Alcotest.(check int) "in-flight message lost" 0 !delivered;
-  Alcotest.(check int) "counted as dropped" 1 (Net.dropped_messages net);
+  Alcotest.(check int) "counted as dropped" 1 (link_count net Stats.Dropped);
   Net.heal net "a" "b";
   Net.send net ~src:"a" ~dst:"b" ~category:Stats.Control ~size:1 ();
   Net.run net;
@@ -215,8 +219,8 @@ let test_reliable_partition_kills_in_flight_then_recovers () =
   Net.run net;
   Alcotest.(check int) "delivered exactly once after heal" 1 !deliveries;
   Alcotest.(check bool) "first attempt lost in flight" true
-    (Net.dropped_messages net >= 1);
-  Alcotest.(check int) "not abandoned" 0 (Net.lost_messages net)
+    (link_count net Stats.Dropped >= 1);
+  Alcotest.(check int) "not abandoned" 0 (lost_messages net)
 
 let test_reliable_charges_retransmissions () =
   let net =
@@ -412,30 +416,86 @@ let test_stats_metrics_registry () =
   let s = Stats.create ~metrics:m () in
   Stats.record_latency s Stats.Object_msg ~ms:3.;
   Stats.record s Stats.Object_msg ~bytes:42;
+  Stats.record_link s Stats.Dropped;
   (match Pti_obs.Metrics.find m "net.latency_ms.object" with
   | Some (Pti_obs.Metrics.Histogram h) ->
       Alcotest.(check int) "histogram fed" 1 h.Pti_obs.Metrics.h_count
   | _ -> Alcotest.fail "net.latency_ms.object missing");
-  match Pti_obs.Metrics.find m "net.bytes.object" with
-  | Some (Pti_obs.Metrics.Gauge v) ->
-      Alcotest.(check (float 0.)) "bytes gauge live" 42. v
-  | _ -> Alcotest.fail "net.bytes.object missing"
+  let counter name =
+    match Pti_obs.Metrics.find m name with
+    | Some (Pti_obs.Metrics.Counter n) -> n
+    | _ -> Alcotest.failf "%s is not a counter" name
+  in
+  Alcotest.(check int) "bytes counter" 42 (counter "net.bytes.object");
+  Alcotest.(check int) "total bytes counter" 42 (counter "net.bytes.total");
+  Alcotest.(check int) "messages counter" 1 (counter "net.messages.object");
+  Alcotest.(check int) "link counter" 1 (counter "net.link.dropped")
+
+(* Two nets on one registry pool their counts, the way they already
+   pooled latency histograms; a second net must not re-point the first
+   one's instruments at itself. *)
+let test_shared_registry_pools_counts () =
+  let m = Pti_obs.Metrics.create () in
+  let net () =
+    let n = Net.create ~metrics:m () in
+    Net.add_host n "a" ~handler:(fun ~net:_ ~src:_ () -> ());
+    Net.add_host n "b" ~handler:(fun ~net:_ ~src:_ () -> ());
+    n
+  in
+  let n1 = net () in
+  Net.send n1 ~src:"a" ~dst:"b" ~category:Stats.Object_msg ~size:10 ();
+  let n2 = net () in
+  Net.send n2 ~src:"a" ~dst:"b" ~category:Stats.Object_msg ~size:5 ();
+  Net.run n1;
+  Net.run n2;
+  (match Pti_obs.Metrics.find m "net.bytes.object" with
+  | Some (Pti_obs.Metrics.Counter n) ->
+      Alcotest.(check int) "registry holds the sum" 15 n
+  | _ -> Alcotest.fail "net.bytes.object is not a counter");
+  Alcotest.(check int) "each view reads the pool" 15
+    (Stats.bytes (Net.stats n1) Stats.Object_msg)
+
+(* The per-send accounting path allocates nothing: each record is a
+   counter increment. [Metrics.add] takes its amount as a plain
+   argument; an optional [?by] would box it on every call. *)
+let test_stats_record_alloc_free () =
+  let s = Stats.create () in
+  let c = Pti_obs.Metrics.counter (Pti_obs.Metrics.create ()) "c" in
+  List.iter
+    (fun (name, f) -> Alloc.check_ceiling name ~ceiling:0. f)
+    ([
+      ("Metrics.add", fun () -> Pti_obs.Metrics.add c 3);
+      ("Stats.record", fun () -> Stats.record s Stats.Object_msg ~bytes:100);
+      ("Stats.record_rx", fun () -> Stats.record_rx s Stats.Gossip ~bytes:100);
+      ("Stats.record_lost", fun () -> Stats.record_lost s Stats.Asm_request);
+      ("Stats.record_links", fun () -> Stats.record_links s Stats.Dropped 2);
+    ]
+  @ List.map
+      (fun e -> ("Stats.record_link", fun () -> Stats.record_link s e))
+      Stats.[
+        Dropped; Retransmission; Injected_drop; Injected_duplicate; Corrupted;
+        Integrity_drop;
+      ])
 
 let test_stats_reset () =
   let a = Stats.create () in
   Stats.record a Stats.Object_msg ~bytes:10;
   Stats.record a Stats.Control ~bytes:1;
+  Stats.record_rx a Stats.Object_msg ~bytes:7;
+  Stats.record_lost a Stats.Object_msg;
+  Stats.record_link a Stats.Dropped;
   Stats.record_latency a Stats.Object_msg ~ms:3.;
-  Stats.record_rtt a ~peer:"b" ~ms:2.;
   Alcotest.(check int) "total" 11 (Stats.total_bytes a);
   Stats.reset a;
   Alcotest.(check int) "bytes reset" 0 (Stats.total_bytes a);
   Alcotest.(check int) "messages reset" 0 (Stats.total_messages a);
+  Alcotest.(check int) "rx reset" 0 (Stats.total_received_bytes a);
+  Alcotest.(check int) "lost reset" 0 (Stats.lost_for a Stats.Object_msg);
+  Alcotest.(check int) "link counters reset" 0
+    (Stats.link_count a Stats.Dropped);
   Alcotest.(check (option (float 0.)))
     "latencies cleared" None
-    (Stats.latency_percentile a Stats.Object_msg 0.5);
-  Alcotest.(check (option (float 0.))) "rtts cleared" None
-    (Stats.rtt a ~peer:"b")
+    (Stats.latency_percentile a Stats.Object_msg 0.5)
 
 let test_determinism () =
   (* Two identically-seeded networks with jitter produce identical
@@ -471,11 +531,11 @@ let test_remove_host_and_restart () =
   (* Crash: the host disappears; frames addressed to it are silently
      dropped (it was known once), not a programming error. *)
   Net.remove_host net "b";
-  let dropped0 = Net.dropped_messages net in
+  let dropped0 = link_count net Stats.Dropped in
   Net.send net ~src:"a" ~dst:"b" ~category:Stats.Control ~size:1 "while down";
   Net.run net;
   Alcotest.(check bool) "dropped while down" true
-    (Net.dropped_messages net > dropped0);
+    (link_count net Stats.Dropped > dropped0);
   (* Restart: re-registration under the same address is legal again. *)
   Net.add_host net "b" ~handler:(fun ~net:_ ~src:_ s -> got := s :: !got);
   Net.send net ~src:"a" ~dst:"b" ~category:Stats.Control ~size:1 "after";
@@ -506,7 +566,7 @@ let test_arq_redelivers_across_restart () =
   Sim.schedule sim ~delay:35. (fun () -> Net.add_host net "b" ~handler);
   Net.run net;
   Alcotest.(check (list string)) "redelivered after restart" [ "m" ] !got;
-  Alcotest.(check int) "nothing lost" 0 (Net.lost_for net Stats.Object_msg)
+  Alcotest.(check int) "nothing lost" 0 (lost_for net Stats.Object_msg)
 
 (* ---------------------------------------------------------------- *)
 (* Model-based ARQ property                                           *)
@@ -541,8 +601,8 @@ let prop_arq_model =
       let doubly =
         Hashtbl.fold (fun _ c acc -> acc || c > 1) delivered false
       in
-      let lost = Net.lost_for net Stats.Object_msg in
-      let attempts = n + Net.retransmissions net in
+      let lost = lost_for net Stats.Object_msg in
+      let attempts = n + link_count net Stats.Retransmission in
       (not doubly)
       && Hashtbl.length delivered + lost = n
       && Stats.bytes (Net.stats net) Stats.Object_msg = attempts * 100)
@@ -581,7 +641,7 @@ let prop_arq_duplication_exactly_once =
         Hashtbl.fold (fun _ c acc -> acc || c > 1) delivered false
       in
       (not doubly)
-      && Hashtbl.length delivered + Net.lost_for net Stats.Object_msg = n)
+      && Hashtbl.length delivered + lost_for net Stats.Object_msg = n)
 
 (* ---------------------------------------------------------------- *)
 (* Clock: sim passthrough pin + monotonic timer wheel                 *)
@@ -858,6 +918,10 @@ let () =
             test_latency_memory_bounded;
           Alcotest.test_case "metrics registry" `Quick
             test_stats_metrics_registry;
+          Alcotest.test_case "shared registry pools counts" `Quick
+            test_shared_registry_pools_counts;
+          Alcotest.test_case "recording allocates nothing" `Quick
+            test_stats_record_alloc_free;
         ] );
       ( "trace",
         [

@@ -358,7 +358,7 @@ let test_metrics_counters_and_gauges () =
   let m = Metrics.create () in
   let c = Metrics.counter m "a.count" in
   Metrics.incr c;
-  Metrics.incr ~by:4 c;
+  Metrics.add c 4;
   Alcotest.(check int) "counter value" 5 (Metrics.counter_value c);
   let c' = Metrics.counter m "a.count" in
   Metrics.incr c';
@@ -503,7 +503,7 @@ let test_metrics_histogram_interleaved_snapshots () =
 
 let test_metrics_json () =
   let m = Metrics.create () in
-  Metrics.incr ~by:3 (Metrics.counter m "c");
+  Metrics.add (Metrics.counter m "c") 3;
   Metrics.set_gauge (Metrics.gauge m "g") 1.5;
   let h = Metrics.histogram m "h" in
   Metrics.observe h 0.5;

@@ -613,35 +613,39 @@ let test_handle_drifted_binding_rejected () =
   | Ok _ -> Alcotest.fail "drifted bindings delivered a mis-typed envelope"
   | Error e -> Alcotest.failf "expected Corrupt, got %a" Env.pp_error e
 
-(* The XML handle form stays accepted on decode: the interop fallback
-   for peers that do not speak the compact PTIE binary frame. *)
-let test_handle_xml_fallback_accepted () =
+(* Handle references exist only in the binary PTIE frame. An XML
+   envelope using <typeref handle=...> decodes to an error, never to an
+   envelope: not with its digest, not with the digest stripped, not
+   even when the receiver's table could resolve the handle. *)
+let test_handle_xml_typeref_rejected () =
   let r = reg () in
-  let v = sample_person r in
-  let env = mk_env r v in
-  let stab = Ht.create_sender () in
-  let form e =
-    match Ht.obtain stab e with `Fresh h -> `Bind h | `Known h -> `Ref h
-  in
-  let xml_bind = Env.to_string_h_xml env ~form in
-  let xml_ref = Env.to_string_h_xml env ~form in
-  Alcotest.(check bool) "binary ref beats the xml fallback on the wire" true
-    (String.length (Env.to_string_h env ~form)
-    < String.length xml_ref);
+  let env = mk_env r (sample_person r) in
   let rtab = Ht.create_receiver ~capacity:8 in
-  (match Env.of_string_h ~resolve:(Ht.resolve rtab) xml_bind with
-  | Ok (env', binds) ->
-      List.iter (fun (h, e) -> Ht.install rtab h e) binds;
-      Alcotest.(check (list string)) "xml bind parses" (type_names env)
-        (type_names env')
-  | Error e -> Alcotest.failf "xml bind parse: %a" Env.pp_error e);
-  Alcotest.(check bool) "xml wire_ok" true (Env.wire_ok xml_ref);
-  match Env.of_string_h ~resolve:(Ht.resolve rtab) xml_ref with
-  | Ok (env', binds) ->
-      Alcotest.(check int) "xml refs carry no bindings" 0 (List.length binds);
-      Alcotest.(check (list string)) "xml refs resolve" (type_names env)
-        (type_names env')
-  | Error e -> Alcotest.failf "xml ref parse: %a" Env.pp_error e
+  List.iteri (fun i e -> Ht.install rtab (i + 1) e) env.Env.env_types;
+  let with_typeref ~keep_digest =
+    match Env.to_xml env with
+    | Xml.Element (tag, attrs, children) ->
+        let attrs =
+          if keep_digest then attrs else List.remove_assoc "digest" attrs
+        in
+        let typeref = Xml.elt "typeref" ~attrs:[ ("handle", "1") ] [] in
+        let children =
+          match children with
+          | Xml.Element ("type", _, _) :: rest -> typeref :: rest
+          | _ -> Alcotest.fail "classic envelope starts with a <type>"
+        in
+        Xml.to_string (Xml.Element (tag, attrs, children))
+    | _ -> Alcotest.fail "envelope is not an element"
+  in
+  List.iter
+    (fun keep_digest ->
+      let doc = with_typeref ~keep_digest in
+      match Env.of_string_h ~resolve:(Ht.resolve rtab) doc with
+      | Ok _ ->
+          Alcotest.failf "typeref document decoded (digest kept: %b)"
+            keep_digest
+      | Error _ -> ())
+    [ true; false ]
 
 (* The PTIE frame is checksummed end to end: no single byte flip can
    parse — not even by falling back to the XML path on a damaged
@@ -825,18 +829,12 @@ let test_wire_golden () =
    ^ "656c640506737472656574040931204d61696e20537406046e616d6504035365720706"
    ^ "73706f75736500")
     (hex (Env.to_string_h env ~form));
-  pin "xml plain" ~len:499 ~fnv:"ca6e6d1a09fb849c"
-    (Env.to_string_h_xml env ~form:(fun _ -> `Plain));
-  pin "xml ref" ~len:310 ~fnv:"4c867b962c97a2d8"
-    (Env.to_string_h_xml env ~form);
   pin "classic" ~len:475 ~fnv:"38bbff9aeecd0fb3" (Env.to_string env);
   let env = envelope Env.Soap in
   Alcotest.(check string) "soap digest" "599a4945cb673e67" (Env.digest env);
   let form = handle_form () in
   pin "soap PTIE bind" ~len:501 ~fnv:"851aadf117ce3466"
     (Env.to_string_h env ~form);
-  pin "soap xml ref" ~len:483 ~fnv:"df80cc64db7e46a4"
-    (Env.to_string_h_xml env ~form);
   pin "soap classic" ~len:648 ~fnv:"86ba2df73ff0fbb1" (Env.to_string env);
   pin "PTIB" ~len:119 ~fnv:"be42c86c6561125f" (Bin.encode v);
   match Registry.find r Demo.news_person with
@@ -857,8 +855,6 @@ let test_wire_golden_versioned () =
   let form = handle_form () in
   let bind = Env.to_string_h env ~form in
   pin "PTIE bind" ~len:292 ~fnv:"68c1992c15f08a85" bind;
-  pin "xml ref" ~len:310 ~fnv:"ad620ed350476699"
-    (Env.to_string_h_xml env ~form);
   pin "PTIH" ~len:161 ~fnv:"e3299d6a00d6ad81"
     (Ht.encode_bindings (List.mapi (fun i e -> (i + 1, e)) env.Env.env_types));
   pin "PTIF" ~len:317 ~fnv:"4f708f90f253df22"
@@ -1061,8 +1057,8 @@ let () =
           Alcotest.test_case "bind then ref" `Quick test_handle_bind_then_ref;
           Alcotest.test_case "drifted binding rejected" `Quick
             test_handle_drifted_binding_rejected;
-          Alcotest.test_case "xml fallback accepted" `Quick
-            test_handle_xml_fallback_accepted;
+          Alcotest.test_case "xml typeref rejected" `Quick
+            test_handle_xml_typeref_rejected;
           QCheck_alcotest.to_alcotest prop_binary_envelope_flip_always_detected;
           QCheck_alcotest.to_alcotest prop_handle_negotiation_state_machine;
         ] );

@@ -228,6 +228,110 @@ let test_stream_partition_heal () =
   Transport.close tr
 
 (* ------------------------------------------------------------------ *)
+(* Cross-backend accounting parity                                     *)
+(* ------------------------------------------------------------------ *)
+
+(* The sim and a unix fabric count the same link events the same way.
+   Both get the same deterministic fault phases, [n] sends each, and one
+   integrity predicate refusing the poison prefix: every frame
+   duplicated once (both copies delivered), every frame dropped by the
+   middleware, every frame corrupted and refused on arrival. *)
+let test_cross_backend_parity () =
+  skip_unless_sockets Unix.PF_UNIX;
+  let n = 4 in
+  let counts tr =
+    let got = ref 0 in
+    let a = Transport.add_endpoint tr "a" ~handler:(fun ~src:_ _ -> ()) in
+    let _b =
+      Transport.add_endpoint tr "b" ~handler:(fun ~src:_ _ -> incr got)
+    in
+    Option.iter (Transport.register_remote tr "b")
+      (Transport.listen_spec tr "b");
+    Transport.set_integrity tr
+      (Some (fun s -> not (String.starts_with ~prefix:"!" s)));
+    let phase hooks ~until =
+      Transport.set_fault_hooks tr (Some hooks);
+      for i = 1 to n do
+        Transport.send a ~dst:"b" ~category:Stats.Object_msg ~size:8
+          (Printf.sprintf "m%d" i)
+      done;
+      if
+        not
+          (Transport.drive_until tr
+             ~deadline_ms:(Transport.now_ms tr +. 10_000.)
+             until)
+      then
+        Alcotest.failf "%s: phase did not settle"
+          (Transport.kind_name (Transport.kind tr))
+    in
+    let no = Pti_net.Net.no_faults in
+    phase
+      { no with Pti_net.Net.fh_duplicates = (fun ~now:_ ~src:_ ~dst:_ -> 1) }
+      ~until:(fun () -> !got = 2 * n);
+    phase
+      { no with Pti_net.Net.fh_drop = (fun ~now:_ ~src:_ ~dst:_ -> true) }
+      ~until:(fun () -> true);
+    phase
+      {
+        no with
+        Pti_net.Net.fh_corrupt = (fun ~now:_ ~src:_ ~dst:_ s -> Some ("!" ^ s));
+      }
+      ~until:(fun () -> Transport.integrity_drops tr = n);
+    let c =
+      [
+        ("tx messages", Stats.messages (Transport.stats tr) Stats.Object_msg);
+        ("delivered", !got);
+        ("dropped", Transport.dropped_messages tr);
+        ("injected duplicates", Transport.injected_duplicates tr);
+        ("injected drops", Transport.injected_drops tr);
+        ("corrupted frames", Transport.corrupted_frames tr);
+        ("integrity drops", Transport.integrity_drops tr);
+      ]
+    in
+    Transport.close tr;
+    c
+  in
+  let sim = counts (Transport.of_net (Pti_net.Net.create ())) in
+  let unix = counts (fst (fresh_unix_fabric ())) in
+  Alcotest.(check (list (pair string int))) "sim counts"
+    [
+      ("tx messages", 4 * n); ("delivered", 2 * n); ("dropped", n);
+      ("injected duplicates", n); ("injected drops", n);
+      ("corrupted frames", n); ("integrity drops", n);
+    ]
+    sim;
+  Alcotest.(check (list (pair string int))) "unix counts equal sim" sim unix
+
+(* A stream link that gives up redialing charges every frame it had
+   queued as lost, each to its own category. *)
+let test_stream_give_up_lost_per_category () =
+  skip_unless_sockets Unix.PF_UNIX;
+  let tr, dir =
+    fresh_unix_fabric
+      ~reliability:
+        { Pti_net.Arq.retransmit_ms = 1.; max_retries = 1; ack_bytes = 0 }
+      ()
+  in
+  let a = Transport.add_endpoint tr "a" ~handler:(fun ~src:_ _ -> ()) in
+  Transport.register_remote tr "ghost" (Filename.concat dir "ghost.sock");
+  Transport.send a ~dst:"ghost" ~category:Stats.Object_msg ~size:1 "o1";
+  Transport.send a ~dst:"ghost" ~category:Stats.Object_msg ~size:1 "o2";
+  Transport.send a ~dst:"ghost" ~category:Stats.Tdesc_request ~size:1 "t";
+  let gave_up =
+    Transport.drive_until tr
+      ~deadline_ms:(Transport.now_ms tr +. 5_000.)
+      (fun () -> Transport.lost_messages tr = 3)
+  in
+  Alcotest.(check bool) "link given up" true gave_up;
+  let s = Transport.stats tr in
+  Alcotest.(check int) "one redial" 1 (Transport.retransmissions tr);
+  Alcotest.(check int) "objects lost" 2 (Stats.lost_for s Stats.Object_msg);
+  Alcotest.(check int) "tdesc requests lost" 1
+    (Stats.lost_for s Stats.Tdesc_request);
+  Alcotest.(check int) "nothing else lost" 0 (Stats.lost_for s Stats.Control);
+  Transport.close tr
+
+(* ------------------------------------------------------------------ *)
 (* Two processes over a unix socket: publish -> conform -> invoke      *)
 (* ------------------------------------------------------------------ *)
 
@@ -377,6 +481,13 @@ let () =
             test_stream_corruption_and_integrity;
           Alcotest.test_case "partition + heal" `Quick
             test_stream_partition_heal;
+        ] );
+      ( "accounting",
+        [
+          Alcotest.test_case "sim and unix count alike" `Quick
+            test_cross_backend_parity;
+          Alcotest.test_case "give-up charges lost per category" `Quick
+            test_stream_give_up_lost_per_category;
         ] );
       ( "two-process",
         [
