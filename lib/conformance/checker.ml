@@ -191,21 +191,52 @@ let note_new_type ?witness t name =
 (* Rule (i): names                                                    *)
 (* ---------------------------------------------------------------- *)
 
-let simple_name qname =
-  match List.rev (S.split_on '.' qname) with
-  | last :: _ -> last
-  | [] -> qname
+(* Start of the last dot-separated segment of [s], its simple name. *)
+let rec segment_start s i =
+  if i = 0 || Char.equal (String.unsafe_get s (i - 1)) '.' then i
+  else segment_start s (i - 1)
 
+let simple_name qname =
+  let k = segment_start qname (String.length qname) in
+  String.sub qname k (String.length qname - k)
+
+let rec equal_ci_at a ia b ib n =
+  n = 0
+  || Char.equal
+       (Char.lowercase_ascii (String.unsafe_get a ia))
+       (Char.lowercase_ascii (String.unsafe_get b ib))
+     && equal_ci_at a (ia + 1) b (ib + 1) (n - 1)
+
+let rec has_wildcard s i =
+  i < String.length s
+  &&
+  match String.unsafe_get s i with
+  | '*' | '?' -> true
+  | _ -> has_wildcard s (i + 1)
+
+let compared_from cfg s =
+  if cfg.Config.compare_namespaces then 0
+  else segment_start s (String.length s)
+
+(* Names are compared in place from where their compared part starts.
+   The paper's distance 0 without wildcards is a case-insensitive
+   equality, checked char by char with no copy; only a relaxed distance
+   or a wildcard pattern pays for the substrings. *)
 let names_conform_raw cfg ~interest_name actual_name =
-  let i, a =
-    if cfg.Config.compare_namespaces then interest_name, actual_name
-    else simple_name interest_name, simple_name actual_name
-  in
-  if
-    cfg.Config.allow_wildcards
-    && (String.contains i '*' || String.contains i '?')
-  then Lev.wildcard_match ~pattern:i a
-  else Lev.within ~limit:cfg.Config.name_distance i a
+  let i0 = compared_from cfg interest_name
+  and a0 = compared_from cfg actual_name in
+  let il = String.length interest_name - i0
+  and al = String.length actual_name - a0 in
+  if cfg.Config.allow_wildcards && has_wildcard interest_name i0 then
+    Lev.wildcard_match
+      ~pattern:(String.sub interest_name i0 il)
+      (String.sub actual_name a0 al)
+  else if cfg.Config.name_distance = 0 then
+    il = al && equal_ci_at interest_name i0 actual_name a0 il
+  else
+    Lev.within ~limit:cfg.Config.name_distance
+      (String.sub interest_name i0 il)
+      (String.sub actual_name a0 al)
 
 let names_conform t ~interest_name actual =
   names_conform_raw t.cfg ~interest_name actual
@@ -295,17 +326,22 @@ type assum = (string, unit) Hashtbl.t
 
 let ok = Ok ()
 
-let fail context fmt =
-  Printf.ksprintf (fun message -> Error [ { context; message } ]) fmt
+(* A failure names the pair under test. That text is built only when a
+   failure is recorded, never for the pairs that pass. *)
+let context (actual : Td.t) (interest : Td.t) =
+  Printf.sprintf "%s <= %s" (Td.qualified_name actual)
+    (Td.qualified_name interest)
+
+let fail actual interest fmt =
+  Printf.ksprintf
+    (fun message -> Error [ { context = context actual interest; message } ])
+    fmt
 
 let rec conforms_desc t (assum : assum) depth (actual : Td.t)
     (interest : Td.t) : (Mapping.t, failure list) result =
   t.st.m_pair_checks <- t.st.m_pair_checks + 1;
-  let ctx =
-    Printf.sprintf "%s <= %s" (Td.qualified_name actual)
-      (Td.qualified_name interest)
-  in
-  if depth > t.cfg.Config.max_depth then fail ctx "max recursion depth exceeded"
+  if depth > t.cfg.Config.max_depth then
+    fail actual interest "max recursion depth exceeded"
   else if Td.equals actual interest then
     Ok
       (Mapping.identity_mapping
@@ -346,7 +382,7 @@ let rec conforms_desc t (assum : assum) depth (actual : Td.t)
                {!note_new_type}'s witnesses exist to prevent. *)
             t.cur_deps <- Some (Hashtbl.create 16)
           end;
-          let result = conforms_desc_uncached t assum depth actual interest ctx in
+          let result = conforms_desc_uncached t assum depth actual interest in
           Hashtbl.remove assum key;
           (* Only cache results computed without outstanding assumptions:
              results under assumptions may depend on pairs still in flight. *)
@@ -384,7 +420,7 @@ let rec conforms_desc t (assum : assum) depth (actual : Td.t)
         end
   end
 
-and conforms_desc_uncached t assum depth actual interest ctx =
+and conforms_desc_uncached t assum depth actual interest =
   if Td.equivalent actual interest then
     Ok
       (Mapping.identity_mapping
@@ -400,16 +436,16 @@ and conforms_desc_uncached t assum depth actual interest ctx =
     let interest_name = Td.qualified_name interest in
     let actual_name = Td.qualified_name actual in
     if not (names_conform_raw t.cfg ~interest_name actual_name) then
-      fail ctx "name %S does not conform to %S (rule i)"
+      fail actual interest "name %S does not conform to %S (rule i)"
         (simple_name actual_name) (simple_name interest_name)
     else
       let ( >>= ) r f = match r with Ok () -> f () | Error e -> Error e in
-      check_supertypes t assum depth actual interest ctx >>= fun () ->
-      check_fields t assum depth actual interest ctx >>= fun () ->
-      match check_ctors t assum depth actual interest ctx with
+      check_supertypes t assum depth actual interest >>= fun () ->
+      check_fields t assum depth actual interest >>= fun () ->
+      match check_ctors t assum depth actual interest with
       | Error e -> Error e
       | Ok ctor_maps -> (
-          match check_methods t assum depth actual interest ctx with
+          match check_methods t assum depth actual interest with
           | Error e -> Error e
           | Ok method_maps ->
               Ok
@@ -423,15 +459,15 @@ and conforms_desc_uncached t assum depth actual interest ctx =
   end
 
 (* Aspect (iii): supertypes. *)
-and check_supertypes t assum depth actual interest ctx =
+and check_supertypes t assum depth actual interest =
   if not t.cfg.Config.check_supertypes then ok
   else begin
     let super_ok =
       match interest.Td.ty_super, actual.Td.ty_super with
       | None, _ -> ok
       | Some si, None ->
-          fail ctx "interest has superclass %s but actual has none (rule iii)"
-            si
+          fail actual interest
+            "interest has superclass %s but actual has none (rule iii)" si
       | Some si, Some sa ->
           if S.equal_ci si sa then ok
           else (
@@ -441,14 +477,14 @@ and check_supertypes t assum depth actual interest ctx =
                 | Ok _ -> ok
                 | Error fs ->
                     Error
-                      ({ context = ctx;
+                      ({ context = context actual interest;
                          message =
                            Printf.sprintf
                              "superclass %s does not conform to %s (rule iii)"
                              sa si }
                       :: fs))
-            | None, _ -> fail ctx "unresolvable supertype %S" si
-            | _, None -> fail ctx "unresolvable supertype %S" sa)
+            | None, _ -> fail actual interest "unresolvable supertype %S" si
+            | _, None -> fail actual interest "unresolvable supertype %S" sa)
     in
     match super_ok with
     | Error e -> Error e
@@ -473,13 +509,15 @@ and check_supertypes t assum depth actual interest ctx =
                   candidates
               in
               if matched then each rest
-              else fail ctx "no interface of actual conforms to %S (rule iii)" iface
+              else
+                fail actual interest
+                  "no interface of actual conforms to %S (rule iii)" iface
         in
         each interest.Td.ty_interfaces
   end
 
 (* Aspect (ii): fields (invariant in the field's type). *)
-and check_fields t assum depth actual interest ctx =
+and check_fields t assum depth actual interest =
   if not t.cfg.Config.check_fields then ok
   else
     let rec each = function
@@ -502,16 +540,18 @@ and check_fields t assum depth actual interest ctx =
           let matching = List.filter ty_ok candidates in
           (match matching, t.cfg.Config.ambiguity with
           | [], _ ->
-              fail ctx "no field of actual matches %s : %s (rule ii)"
+              fail actual interest
+                "no field of actual matches %s : %s (rule ii)"
                 f.Td.fd_name (Ty.to_string f.Td.fd_ty)
           | _ :: _ :: _, Config.Reject_ambiguous ->
-              fail ctx "field %s matches ambiguously (rule ii)" f.Td.fd_name
+              fail actual interest "field %s matches ambiguously (rule ii)"
+                f.Td.fd_name
           | _ -> each rest)
     in
     each interest.Td.ty_fields
 
 (* Aspect (v): constructors. Returns the chosen witnesses. *)
-and check_ctors t assum depth actual interest ctx =
+and check_ctors t assum depth actual interest =
   if not t.cfg.Config.check_ctors then Ok []
   else
     let rec each acc = function
@@ -522,9 +562,11 @@ and check_ctors t assum depth actual interest ctx =
           let with_perm = viable_ctor_matches t assum depth actual c in
           (match with_perm, t.cfg.Config.ambiguity with
           | [], _ ->
-              fail ctx "no constructor of actual matches ctor/%d (rule v)" arity
+              fail actual interest
+                "no constructor of actual matches ctor/%d (rule v)" arity
           | _ :: _ :: _, Config.Reject_ambiguous ->
-              fail ctx "constructor/%d matches ambiguously (rule v)" arity
+              fail actual interest
+                "constructor/%d matches ambiguously (rule v)" arity
           | (c', perm) :: _, _ ->
               let cm =
                 {
@@ -540,13 +582,13 @@ and check_ctors t assum depth actual interest ctx =
     each [] interest.Td.ty_ctors
 
 (* Aspect (iv): methods. Returns the chosen method maps. *)
-and check_methods t assum depth actual interest ctx =
+and check_methods t assum depth actual interest =
   if not t.cfg.Config.check_methods then Ok []
   else
     let rec each acc = function
       | [] -> Ok (List.rev acc)
       | (m : Td.method_desc) :: rest -> (
-          match match_method t assum depth actual m ctx with
+          match match_method t assum depth actual interest m with
           | Ok mm -> each (mm :: acc) rest
           | Error e -> Error e)
     in
@@ -602,7 +644,8 @@ and viable_ctor_matches t assum depth (actual : Td.t) (c : Td.ctor_desc) =
       |> Option.map (fun perm -> (c', perm)))
     candidates
 
-and match_method t assum depth (actual : Td.t) (m : Td.method_desc) ctx =
+and match_method t assum depth (actual : Td.t) (interest : Td.t)
+    (m : Td.method_desc) =
   let arity = Td.method_arity m in
   let interest_params = List.map (fun p -> p.Td.pd_ty) m.Td.md_params in
   let viable = viable_method_matches t assum depth actual m in
@@ -643,9 +686,10 @@ and match_method t assum depth (actual : Td.t) (m : Td.method_desc) ctx =
   | None -> (
       match viable with
       | _ :: _ :: _ ->
-          fail ctx "method %s matches ambiguously (rule iv)" (Td.signature m)
+          fail actual interest "method %s matches ambiguously (rule iv)"
+            (Td.signature m)
       | _ ->
-          fail ctx "no method of actual matches %s (rule iv)"
+          fail actual interest "no method of actual matches %s (rule iv)"
             (Td.signature m))
 
 (* Find a bijection sending each actual-parameter position [j] to a caller

@@ -34,7 +34,8 @@
 
 type failure = { context : string; message : string }
 (** One reason a check failed; [context] names the pair/member being
-    compared when the failure was recorded. *)
+    compared when the failure was recorded. Both strings are built only
+    when a failure is recorded, not for every pair examined. *)
 
 val pp_failure : Format.formatter -> failure -> unit
 
@@ -74,7 +75,11 @@ val explicit_conforms : t -> actual:Pti_typedesc.Type_description.t ->
 (** Just the explicit-subtyping short-circuit, exposed for tests. *)
 
 val names_conform : t -> interest_name:string -> string -> bool
-(** Just the name rule (i), exposed for tests and the E6 sweep. *)
+(** Just the name rule (i), exposed for tests and the E6 sweep. At
+    distance 0 without a wildcard pattern (the paper's rule) the simple
+    names are compared in place, char by char and case-insensitively:
+    the same answer as {!Pti_util.Levenshtein.within}[ ~limit:0], with
+    no allocation. *)
 
 (** {1 Binding probes}
 

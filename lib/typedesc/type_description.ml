@@ -189,7 +189,39 @@ let fingerprint t =
   (* Digest the canonical text so fingerprints are small, stable keys. *)
   Digest.to_hex (Digest.string (Buffer.contents b))
 
-let equivalent a b = String.equal (fingerprint a) (fingerprint b)
+(* [qualified_name t] without building it: the namespace segments and the
+   name, joined by ['.']. *)
+let qualified_length t =
+  List.fold_left
+    (fun n seg -> n + String.length seg + 1)
+    (String.length t.ty_name) t.ty_namespace
+
+let rec qualified_char segs name k =
+  match segs with
+  | [] -> String.unsafe_get name k
+  | seg :: rest ->
+      let n = String.length seg in
+      if k < n then String.unsafe_get seg k
+      else if k = n then '.'
+      else qualified_char rest name (k - n - 1)
+
+let rec qualified_equal_ci a b k n =
+  k >= n
+  || Char.equal
+       (Char.lowercase_ascii (qualified_char a.ty_namespace a.ty_name k))
+       (Char.lowercase_ascii (qualified_char b.ty_namespace b.ty_name k))
+     && qualified_equal_ci a b (k + 1) n
+
+(* A fingerprint starts with the lowercased qualified name, so
+   descriptions whose names differ can never match: they are told apart
+   without building either fingerprint. (A name holding a line break
+   could in principle blur the fingerprint's line structure; there the
+   guard can only turn a match into a miss, never the reverse.) *)
+let equivalent a b =
+  let n = qualified_length a in
+  n = qualified_length b
+  && qualified_equal_ci a b 0 n
+  && String.equal (fingerprint a) (fingerprint b)
 
 (* --- XML codec -------------------------------------------------------- *)
 

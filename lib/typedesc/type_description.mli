@@ -57,7 +57,12 @@ val fingerprint : t -> string
 
 val equivalent : t -> t -> bool
 (** Type {e equivalence}: identical structure regardless of identity —
-    [fingerprint] equality. *)
+    [fingerprint] equality. Name guard: the fingerprint starts with the
+    lowercased qualified name, so the qualified names are compared first,
+    case-insensitively and in place, and fingerprints are built only when
+    they match. Descriptions with different names (the common case on
+    the cold path: [w1234.Person] against [newsw.Person]) are told apart
+    without allocating. *)
 
 val method_arity : method_desc -> int
 val signature : method_desc -> string

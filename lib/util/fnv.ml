@@ -27,6 +27,23 @@ let sum_matches s ~at ~pos ~len =
   check_range "Fnv.sum_matches" s pos len;
   fold_range offset_basis s pos len = String.get_int64_be s at
 
+(* The running accumulator lives in 8 bytes, not in an [int64] value:
+   reading and writing it with the unboxed [Bytes] primitives around an
+   inlined [fold_range] keeps every fragment allocation-free, where
+   chaining [hash64 ~init] boxes a fresh accumulator per fragment. *)
+type state = Bytes.t
+
+let start () =
+  let st = Bytes.create 8 in
+  Bytes.set_int64_ne st 0 offset_basis;
+  st
+
+let feed st s pos len =
+  check_range "Fnv.feed" s pos len;
+  Bytes.set_int64_ne st 0 (fold_range (Bytes.get_int64_ne st 0) s pos len)
+
+let value st = Bytes.get_int64_ne st 0
+
 let hex_digits = "0123456789abcdef"
 
 let to_hex h =

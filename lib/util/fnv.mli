@@ -32,6 +32,26 @@ val sum_matches : string -> at:int -> pos:int -> len:int -> bool
     verified in place, with no boxed intermediate.
     @raise Invalid_argument if either range is not inside [s]. *)
 
+(** {1 Streaming}
+
+    A digest folded fragment by fragment into a mutable state, for
+    callers that would otherwise build a string only to hash it. *)
+
+type state
+(** A running FNV-1a accumulator. Feeding it allocates nothing: the
+    accumulator is never boxed between fragments. *)
+
+val start : unit -> state
+(** A fresh state at {!offset_basis}. *)
+
+val feed : state -> string -> int -> int -> unit
+(** [feed st s pos len] absorbs the bytes [\[pos, pos + len)] of [s].
+    Feeding fragments [a], [b], … leaves the state at [hash64 (a ^ b ^ …)].
+    @raise Invalid_argument if the range is not inside [s]. *)
+
+val value : state -> int64
+(** The hash of everything fed so far. *)
+
 val to_hex : int64 -> string
 (** 16 lowercase hex digits, zero padded. *)
 

@@ -6,14 +6,13 @@ let strip = function
         (tag, List.filter (fun (k, _) -> k <> attr_name) attrs, children)
   | other -> other
 
-let canonical x = Xml.to_string (strip x)
+(* The canonical rendering is folded into the hash as it is produced. *)
+let digest stripped = Pti_util.Fnv.to_hex (Xml.hash stripped)
 
 let add x =
   match strip x with
   | Xml.Element (tag, attrs, children) as stripped ->
-      Xml.Element
-        (tag, (attr_name, Pti_util.Fnv.hash_hex (Xml.to_string stripped)) :: attrs,
-         children)
+      Xml.Element (tag, (attr_name, digest stripped) :: attrs, children)
   | other -> other
 
 let verify x =
@@ -22,7 +21,7 @@ let verify x =
       match List.assoc_opt attr_name attrs with
       | None -> Ok x
       | Some d ->
-          if String.equal d (Pti_util.Fnv.hash_hex (canonical x)) then
-            Ok (strip x)
+          let stripped = strip x in
+          if String.equal d (digest stripped) then Ok stripped
           else Error "digest mismatch")
   | other -> Ok other

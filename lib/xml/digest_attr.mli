@@ -9,6 +9,11 @@
     accepted unchecked (pre-digest writers, pretty-printed display
     output).
 
+    The canonical string is never built: the compact rendering is fed
+    to a streaming FNV-1a state fragment by fragment ({!Xml.hash}), so
+    adding or verifying a digest allocates a constant few dozen words,
+    whatever the document's size.
+
     Only compact renderings should carry digests: the parser preserves
     whitespace text nodes, so a pretty-printed document would not
     re-render to its canonical form. *)

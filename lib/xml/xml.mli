@@ -53,6 +53,12 @@ val to_string_pretty : ?decl:bool -> ?indent:int -> t -> string
 (** Human-readable rendering — the paper stresses that the XML part of the
     envelope is human readable. *)
 
+val hash : t -> int64
+(** [Pti_util.Fnv.hash64 (to_string x)], computed without building the
+    string: the compact rendering is fed to a streaming FNV-1a state
+    fragment by fragment, and text that needs no escaping goes in as
+    slices of the tree's own strings. *)
+
 val size_bytes : t -> int
 (** Size in bytes of the compact rendering; the network simulator charges
     messages by this. *)
@@ -65,7 +71,13 @@ val pp_error : Format.formatter -> error -> unit
 
 val parse : string -> (t, error) result
 (** Parses one document (prolog and trailing whitespace allowed, comments
-    and processing instructions skipped). Returns the root element. *)
+    and processing instructions skipped). Returns the root element.
+    Total: any string yields [Ok] or [Error]. An element repeating an
+    attribute name is malformed (XML 1.0 "Unique Att Spec").
+
+    Markup is recognised in place, and attribute values and text without
+    references are sliced straight out of the source: the reader
+    allocates the tree it returns and little else. *)
 
 val parse_exn : string -> t
 (** @raise Invalid_argument on parse errors. *)

@@ -683,6 +683,83 @@ let prop_equivalence_reflexive_on_population =
           Td.equivalent d d)
         (Registry.all registry))
 
+(* ------------------------- rule (i) fast path ---------------------- *)
+
+(* Rule (i) as it was written before the in-place comparison: split off
+   the simple names, then ask Levenshtein (or the wildcard matcher). *)
+let reference_names_conform (cfg : Config.t) ~interest_name actual_name =
+  let simple q =
+    match List.rev (String.split_on_char '.' q) with
+    | last :: _ -> last
+    | [] -> q
+  in
+  let i, a =
+    if cfg.Config.compare_namespaces then (interest_name, actual_name)
+    else (simple interest_name, simple actual_name)
+  in
+  if
+    cfg.Config.allow_wildcards
+    && (String.contains i '*' || String.contains i '?')
+  then Pti_util.Levenshtein.wildcard_match ~pattern:i a
+  else Pti_util.Levenshtein.within ~limit:cfg.Config.name_distance i a
+
+let prop_name_rule_matches_reference =
+  let name_g =
+    QCheck.Gen.(
+      map
+        (fun l -> String.concat "" l)
+        (list_size (int_bound 7)
+           (oneofl
+              [ "a"; "A"; "b"; "B"; "."; "\xc3"; "\xe9"; "\xc9"; "*"; "?" ])))
+  in
+  let checkers =
+    List.map
+      (fun config -> (config, make_checker ~config ()))
+      [
+        Config.strict;
+        { Config.strict with Config.compare_namespaces = true };
+        Config.with_wildcards;
+        Config.relaxed ~distance:1;
+      ]
+  in
+  QCheck.Test.make ~name:"rule (i) agrees with split + Levenshtein" ~count:2000
+    (QCheck.make ~print:QCheck.Print.(pair string string)
+       QCheck.Gen.(pair name_g name_g))
+    (fun (interest_name, actual_name) ->
+      List.for_all
+        (fun (config, checker) ->
+          Checker.names_conform checker ~interest_name actual_name
+          = reference_names_conform config ~interest_name actual_name)
+        checkers)
+
+(* ------------------------- allocation gates ------------------------ *)
+
+(* Rule (i) under the paper's configuration compares in place. A cold
+   check of the type-churn workload's pair (a fresh family's person
+   against the receiver's wnews.Person) allocated 27 413 words before
+   the name guard, the in-place rule (i) and the deferred failure
+   context; 5 575 after, plus 10 % headroom. *)
+let test_cold_path_allocation () =
+  let checker = make_checker () in
+  Alloc.check_ceiling "Checker.names_conform, strict" ~ceiling:0. (fun () ->
+      Checker.names_conform checker ~interest_name:"wnews.Person"
+        "w1.PERSON");
+  let module W = Pti_demo.Workload in
+  let reg = Registry.create () in
+  Assembly.load reg (W.interest_assembly ());
+  Assembly.load reg (W.family ~index:1 ~flavor:W.Conformant);
+  let resolver = Td.registry_resolver reg in
+  let actual =
+    Option.get (resolver (W.person_name ~index:1 ~flavor:W.Conformant))
+  in
+  let interest = Option.get (resolver W.interest_person) in
+  let checker = Checker.create ~resolver () in
+  Alcotest.(check bool) "pair conforms" true
+    (Checker.conforms checker ~actual ~interest);
+  Alloc.check_ceiling "cold Checker.check" ~ceiling:6130. (fun () ->
+      Checker.clear_cache checker;
+      Checker.check checker ~actual ~interest)
+
 let () =
   Alcotest.run "conformance"
     [
@@ -743,5 +820,11 @@ let () =
         [
           QCheck_alcotest.to_alcotest prop_method_order_irrelevant;
           QCheck_alcotest.to_alcotest prop_equivalence_reflexive_on_population;
+          QCheck_alcotest.to_alcotest prop_name_rule_matches_reference;
+        ] );
+      ( "allocation",
+        [
+          Alcotest.test_case "cold path gates" `Quick
+            test_cold_path_allocation;
         ] );
     ]

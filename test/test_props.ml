@@ -57,6 +57,45 @@ let prop_tdesc_decoder_total =
     junk_gen
     (fun s -> match Td.of_xml_string s with Ok _ | Error _ -> true)
 
+(* Every prefix of a real wire document — cut inside a name, a quoted
+   attribute value, an entity, a comment or a closing tag — must come
+   back as [Ok] or [Error]: the reader's in-place markup probes and
+   attribute slicing never look past the end of input. *)
+let test_xml_decoders_total_on_prefixes () =
+  let module Env = Pti_serial.Envelope in
+  let module Axml = Pti_serial.Assembly_xml in
+  let total name decode doc =
+    for n = 0 to String.length doc do
+      match decode (String.sub doc 0 n) with
+      | Ok () | Error () -> ()
+      | exception e ->
+          Alcotest.failf "%s raised %s on a %d-byte prefix" name
+            (Printexc.to_string e) n
+    done
+  in
+  let drop r = Result.map ignore r |> Result.map_error ignore in
+  let family = Workload.family ~index:1 ~flavor:Workload.Conformant in
+  List.iter
+    (fun cd ->
+      total "Td.of_xml_string"
+        (fun s -> drop (Td.of_xml_string s))
+        (Td.to_xml_string (Td.of_class cd)))
+    family.Assembly.asm_classes;
+  total "Assembly_xml.of_string"
+    (fun s -> drop (Axml.of_string s))
+    (Axml.to_string family);
+  let reg = Demo.fresh_registry [ Demo.news_assembly () ] in
+  let person = Demo.make_news_person reg ~name:"Pre & <fix>" ~age:7 in
+  List.iter
+    (fun codec ->
+      total "Envelope.of_string"
+        (fun s -> drop (Env.of_string s))
+        (Env.to_string
+           (Env.make reg ~codec
+              ~download_path:(fun ~assembly -> assembly)
+              person)))
+    [ Env.Binary; Env.Soap ]
+
 let prop_idl_parser_total =
   QCheck.Test.make ~name:"idl parser never raises on junk" ~count:500 junk_gen
     (fun s -> match Idl.parse_classes s with Ok _ | Error _ -> true)
@@ -290,6 +329,8 @@ let () =
           QCheck_alcotest.to_alcotest prop_xml_parser_on_mutated_document;
           QCheck_alcotest.to_alcotest prop_bin_decoder_total;
           QCheck_alcotest.to_alcotest prop_tdesc_decoder_total;
+          Alcotest.test_case "xml decoders total on every prefix" `Quick
+            test_xml_decoders_total_on_prefixes;
           QCheck_alcotest.to_alcotest prop_idl_parser_total;
           QCheck_alcotest.to_alcotest prop_idl_parser_total_on_mutations;
         ] );

@@ -865,6 +865,31 @@ let test_wire_golden_versioned () =
          piggyback = [ ("k", "v") ];
        })
 
+(* The cold path's XML documents: the type description and the assembly
+   a receiver downloads for a fresh family. Pinned before the XML reader
+   and digests were reworked; both must stay byte-identical. *)
+let test_wire_golden_family_xml () =
+  let module W = Pti_demo.Workload in
+  let module Td = Pti_typedesc.Type_description in
+  let asm = W.family ~index:1 ~flavor:W.Conformant in
+  let person = W.person_name ~index:1 ~flavor:W.Conformant in
+  let digest s = Xml.attr "digest" (Xml.parse_exn s) in
+  match
+    List.find_opt
+      (fun cd -> String.equal (Meta.qualified_name cd) person)
+      asm.Assembly.asm_classes
+  with
+  | None -> Alcotest.fail "family person class missing"
+  | Some cd ->
+      let tdesc = Td.to_xml_string (Td.of_class cd) in
+      Alcotest.(check (option string)) "tdesc digest"
+        (Some "925c2a5e4cf64b9a") (digest tdesc);
+      pin "tdesc XML" ~len:1758 ~fnv:"0844c0c24cc07d76" tdesc;
+      let asm_xml = Axml.to_string asm in
+      Alcotest.(check (option string)) "assembly digest"
+        (Some "afc11f8b05496582") (digest asm_xml);
+      pin "assembly XML" ~len:4179 ~fnv:"4363a2a5c8af1f22" asm_xml
+
 (* Allocation gates. [unseal] verifies magic and checksum in place and
    allocates only its reader (4 words) and the [Ok] around it (2). The
    envelope ceilings are the codec's words per call on a warm link
@@ -1075,6 +1100,8 @@ let () =
           Alcotest.test_case "wire bytes and digests" `Quick test_wire_golden;
           Alcotest.test_case "versioned wire bytes and digests" `Quick
             test_wire_golden_versioned;
+          Alcotest.test_case "family tdesc and assembly XML" `Quick
+            test_wire_golden_family_xml;
           Alcotest.test_case "allocation gate" `Quick test_wire_alloc;
         ] );
       ( "framing",

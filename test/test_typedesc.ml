@@ -4,6 +4,7 @@
 open Pti_cts
 module Td = Pti_typedesc.Type_description
 module Demo = Pti_demo.Demo_types
+module Xml = Pti_xml.Xml
 module B = Builder
 
 let registry =
@@ -163,6 +164,72 @@ let prop_xml_roundtrip_preserves_fingerprint =
       | Ok d' -> Td.fingerprint d = Td.fingerprint d'
       | Error _ -> false)
 
+(* [Td.equivalent] compares qualified names before it builds any
+   fingerprint. Variants of one description that differ in namespace
+   split, name case or structure must get the verdict fingerprint
+   equality gives. *)
+let prop_equivalent_is_fingerprint_equality =
+  let base = person_desc () in
+  let names =
+    [
+      ([ "newsw" ], "Person"); ([ "NEWSW" ], "person"); ([], "newsw.Person");
+      ([ "news"; "w" ], "Person"); ([ "news" ], "w.PERSON");
+      ([ "newsw" ], "Persona"); ([ "newsw" ], "Perso"); ([ "w1234" ], "Person");
+      ([ "" ], "Person"); ([], "Person"); ([ "newsw" ], "");
+    ]
+  in
+  let shapes =
+    [
+      Fun.id;
+      (fun d -> { d with Td.ty_methods = List.tl d.Td.ty_methods });
+      (fun d ->
+        {
+          d with
+          Td.ty_fields =
+            List.map
+              (fun f ->
+                { f with Td.fd_name = String.uppercase_ascii f.Td.fd_name })
+              d.Td.ty_fields;
+        });
+    ]
+  in
+  let variant =
+    QCheck.Gen.(
+      map2
+        (fun (ns, name) shape ->
+          shape { base with Td.ty_namespace = ns; ty_name = name })
+        (oneofl names) (oneofl shapes))
+  in
+  QCheck.Test.make ~name:"equivalent = fingerprint equality" ~count:500
+    (QCheck.make
+       ~print:(fun (a, b) -> Td.qualified_name a ^ " vs " ^ Td.qualified_name b)
+       QCheck.Gen.(pair variant variant))
+    (fun (a, b) ->
+      Td.equivalent a b = String.equal (Td.fingerprint a) (Td.fingerprint b))
+
+(* Descriptions with different names are told apart before any
+   fingerprint is built: nothing is allocated. *)
+let test_equivalent_name_guard_allocation () =
+  let d = person_desc () in
+  let other = { d with Td.ty_namespace = [ "w1234" ] } in
+  Alcotest.(check bool) "not equivalent" false (Td.equivalent d other);
+  Alloc.check_ceiling "Td.equivalent, different names" ~ceiling:0. (fun () ->
+      Td.equivalent d other)
+
+(* XML 1.0 "Unique Att Spec": with a second [name], the reader used to
+   keep both and decode the first, so a digest computed over both still
+   verified. *)
+let test_duplicate_attribute_rejected () =
+  let doc =
+    match Td.to_xml (person_desc ()) with
+    | Xml.Element (tag, attrs, cs) ->
+        Xml.Element (tag, attrs @ [ ("name", "Evil") ], cs)
+    | other -> other
+  in
+  match Td.of_xml_string (Xml.to_string (Pti_xml.Digest_attr.add doc)) with
+  | Ok d -> Alcotest.failf "decoded as %s" (Td.qualified_name d)
+  | Error _ -> ()
+
 (* --------------------------- binary codec -------------------------- *)
 
 let test_binary_roundtrip_all_demo_types () =
@@ -231,6 +298,8 @@ let () =
           Alcotest.test_case "malformed rejected" `Quick
             test_of_xml_rejects_malformed;
           Alcotest.test_case "size" `Quick test_size_bytes_positive_and_stable;
+          Alcotest.test_case "duplicate attribute rejected" `Quick
+            test_duplicate_attribute_rejected;
         ] );
       ( "identity",
         [
@@ -240,6 +309,9 @@ let () =
             test_fingerprint_ignores_identity_and_order;
           Alcotest.test_case "equivalence" `Quick
             test_equivalent_across_assemblies;
+          Alcotest.test_case "name guard allocates nothing" `Quick
+            test_equivalent_name_guard_allocation;
+          QCheck_alcotest.to_alcotest prop_equivalent_is_fingerprint_equality;
         ] );
       ("resolvers", [ Alcotest.test_case "kinds" `Quick test_resolvers ]);
       ( "binary",

@@ -142,6 +142,14 @@ let prop_fnv_chain =
     (fun (a, b) ->
       Int64.equal (Fnv.hash64 ~init:(Fnv.hash64 a) b) (Fnv.hash64 (a ^ b)))
 
+let prop_fnv_feed =
+  QCheck.Test.make ~count:300 ~name:"fed fragments = hashing the concatenation"
+    QCheck.(small_list string)
+    (fun parts ->
+      let st = Fnv.start () in
+      List.iter (fun p -> Fnv.feed st p 0 (String.length p)) parts;
+      Int64.equal (Fnv.value st) (Fnv.hash64 (String.concat "" parts)))
+
 let prop_sum_matches =
   QCheck.Test.make ~count:300 ~name:"sum_matches agrees with hash64"
     QCheck.(pair string (int_range 0 255))
@@ -167,12 +175,15 @@ let test_fnv_range_checked () =
     (raises (fun () -> Fnv.hash64 ~pos:3 "abc"))
 
 (* Allocation gates: hashing keeps its accumulator unboxed, so the cost
-   is the boxed result whatever the input length; a boxed accumulator
-   costs 3 words per byte. *)
+   is the boxed result whatever the input length (feeding a streaming
+   state costs nothing); a boxed accumulator costs 3 words per byte. *)
 let test_fnv_alloc () =
   let s = String.make 65536 'x' in
   Alloc.check_ceiling "Fnv.hash64 over 64 KiB" ~ceiling:8. (fun () ->
       Fnv.hash64 s);
+  let st = Fnv.start () in
+  Alloc.check_ceiling "Fnv.feed over 64 KiB" ~ceiling:0. (fun () ->
+      Fnv.feed st s 0 (String.length s));
   let g = Guid.of_name "demo.Person" in
   Alloc.check_ceiling "Guid.to_string" ~ceiling:8. (fun () ->
       Guid.to_string g)
@@ -410,6 +421,7 @@ let () =
           Alcotest.test_case "allocation gate" `Quick test_fnv_alloc;
           QCheck_alcotest.to_alcotest prop_fnv_range;
           QCheck_alcotest.to_alcotest prop_fnv_chain;
+          QCheck_alcotest.to_alcotest prop_fnv_feed;
           QCheck_alcotest.to_alcotest prop_sum_matches;
         ] );
       ( "base64",

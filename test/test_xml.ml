@@ -1,6 +1,10 @@
 (* Tests for the XML substrate: printing, parsing, escaping, queries. *)
 
 module Xml = Pti_xml.Xml
+module Digest_attr = Pti_xml.Digest_attr
+module Fnv = Pti_util.Fnv
+module Td = Pti_typedesc.Type_description
+module Demo = Pti_demo.Demo_types
 
 let test_print_compact () =
   let doc =
@@ -51,6 +55,20 @@ let test_parse_errors () =
       ""; "<a>"; "<a></b>"; "<a attr></a>"; "text only"; "<a/><b/>";
       "<a>&unknown;</a>"; "<a><![CDATA[open</a>";
     ]
+
+(* XML 1.0 "Unique Att Spec". The reader used to keep both and [attr]
+   answered with the first, so one value could be shown while another
+   was checked. *)
+let test_duplicate_attributes_rejected () =
+  List.iter
+    (fun s ->
+      match Xml.parse s with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "should not parse: %s" s)
+    [ "<a k=\"1\" k=\"2\"/>"; "<a><b x='1' y='2' x='1'></b></a>" ];
+  match Xml.parse "<a k=\"1\" kk=\"2\"><b k=\"3\"/></a>" with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "distinct names rejected: %a" Xml.pp_error e
 
 let test_path_and_childs () =
   let x = Xml.parse_exn "<a><b><c k=\"v\"/></b><b/><d/></a>" in
@@ -156,6 +174,121 @@ let prop_print_parse_roundtrip =
       | Error _ -> false
       | Ok parsed -> normalize parsed = normalize doc)
 
+(* ------------------------ streamed digests ------------------------ *)
+
+(* The compact rendering rules, written out independently of the
+   library's renderer. *)
+let rec naive_render = function
+  | Xml.Text s -> Xml.escape_text s
+  | Xml.Cdata s -> "<![CDATA[" ^ s ^ "]]>"
+  | Xml.Comment s -> "<!--" ^ s ^ "-->"
+  | Xml.Element (tag, attrs, cs) ->
+      let attrs =
+        String.concat ""
+          (List.map
+             (fun (k, v) -> Printf.sprintf " %s=\"%s\"" k (Xml.escape_attr v))
+             attrs)
+      in
+      if cs = [] then Printf.sprintf "<%s%s/>" tag attrs
+      else
+        Printf.sprintf "<%s%s>%s</%s>" tag attrs
+          (String.concat "" (List.map naive_render cs))
+          tag
+
+(* The definition the streamed digest must keep: render the document
+   with the root's digest attribute removed, then hash the string. *)
+let reference_digest x =
+  let stripped =
+    match x with
+    | Xml.Element (tag, attrs, cs) ->
+        Xml.Element (tag, List.filter (fun (k, _) -> k <> "digest") attrs, cs)
+    | other -> other
+  in
+  Fnv.hash_hex (Xml.to_string stripped)
+
+(* Trees exercising every rendering rule: text and attribute values that
+   need escaping, bytes >= 0x80, CDATA, comments, empty elements, and
+   [digest] attributes below the root as well as on it. *)
+let gen_digest_doc =
+  let open QCheck.Gen in
+  let str_g =
+    map
+      (fun l -> String.concat "" l)
+      (small_list
+         (oneofl [ "a"; "Z"; "<"; ">"; "&"; "\""; "'"; " "; "\xc3\xa9"; "]]" ]))
+  in
+  let attr_g = pair (oneofl [ "k"; "digest"; "name"; "v" ]) str_g in
+  let tag_g = oneofl [ "a"; "typeDescription"; "field" ] in
+  let node_g =
+    fix (fun self depth ->
+        let leaf =
+          oneof
+            [
+              map Xml.text str_g;
+              map (fun s -> Xml.Cdata s) (oneofl [ ""; "x<y&z"; "]]" ]);
+              map (fun s -> Xml.Comment s) (oneofl [ ""; " note "; "<&>" ]);
+            ]
+        in
+        if depth = 0 then leaf
+        else
+          frequency
+            [
+              (1, leaf);
+              ( 2,
+                map3
+                  (fun tag attrs kids -> Xml.elt tag ~attrs kids)
+                  tag_g (small_list attr_g)
+                  (list_size (int_bound 3) (self (depth - 1))) );
+            ])
+  in
+  map3
+    (fun tag attrs kids -> Xml.elt tag ~attrs kids)
+    tag_g (small_list attr_g)
+    (list_size (int_bound 4) (node_g 3))
+
+let prop_streamed_digest_matches_rendering =
+  QCheck.Test.make ~name:"streamed digest = hash of the stripped rendering"
+    ~count:500
+    (QCheck.make ~print:(fun x -> Xml.to_string x) gen_digest_doc)
+    (fun x ->
+      let expected = reference_digest x in
+      let added = Digest_attr.add x in
+      let with_digest d =
+        match x with
+        | Xml.Element (tag, attrs, cs) ->
+            Xml.Element
+              ( tag,
+                ("digest", d)
+                :: List.filter (fun (k, _) -> k <> "digest") attrs,
+                cs )
+        | other -> other
+      in
+      String.equal (Xml.to_string x) (naive_render x)
+      && Xml.attr "digest" added = Some expected
+      && Result.is_ok (Digest_attr.verify (with_digest expected))
+      && Result.is_error (Digest_attr.verify (with_digest ("0" ^ expected))))
+
+(* --------------------------- allocation ---------------------------- *)
+
+(* Ceilings on a fixed type-description document (newsw.Person, 1.8 KB),
+   measured when markup probing went in place and the digest started
+   streaming (1 526 and 35 words per call, from 3 990 and 1 217), plus
+   10 % headroom. The reader allocates the tree and its strings; the
+   digest check a constant few dozen words, whatever the document's
+   size. *)
+let test_reader_allocation () =
+  let doc =
+    Td.to_xml_string
+      (Td.of_class
+         (Pti_cts.Registry.find_exn
+            (Demo.fresh_registry [ Demo.news_assembly () ])
+            Demo.news_person))
+  in
+  let tree = Xml.parse_exn doc in
+  Alloc.check_ceiling "Xml.parse" ~ceiling:1680. (fun () -> Xml.parse doc);
+  Alloc.check_ceiling "Digest_attr.verify" ~ceiling:39. (fun () ->
+      Digest_attr.verify tree)
+
 let () =
   Alcotest.run "xml"
     [
@@ -176,6 +309,13 @@ let () =
           Alcotest.test_case "prolog" `Quick test_parse_prolog_doctype;
           Alcotest.test_case "errors" `Quick test_parse_errors;
           Alcotest.test_case "queries" `Quick test_path_and_childs;
+          Alcotest.test_case "duplicate attributes" `Quick
+            test_duplicate_attributes_rejected;
+        ] );
+      ( "digest",
+        [
+          QCheck_alcotest.to_alcotest prop_streamed_digest_matches_rendering;
+          Alcotest.test_case "allocation gate" `Quick test_reader_allocation;
         ] );
       ("properties", [ QCheck_alcotest.to_alcotest prop_print_parse_roundtrip ]);
     ]
