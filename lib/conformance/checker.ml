@@ -57,45 +57,64 @@ type stats = {
    invalidation instead of clearing the cache.
 
    Each dependency is {e witnessed}: a successful resolution records the
-   GUID of the description it returned, a miss records a miss marker.
+   GUID of the description it returned, a miss records [Missed].
    Version-aware invalidation falls out: when [name] is (re)announced
    with GUID [g], verdicts that resolved [name] to that same [g] are
    statements about bytes that have not changed and survive, while
    verdicts that saw a different version — or failed on the miss — are
-   dropped. Dependency keys encode the witness as
-   ["<lowercased-name>\x00<guid>"] (miss marker ["?"]). *)
-type entry = { e_verdict : verdict; e_deps : string list }
+   dropped. A dependency is the pair (lowercased name, witness). *)
+type witness = Missed | Saw of Guid.t
 
-let dep_prefix name = String.lowercase_ascii name ^ "\x00"
-let dep_miss name = dep_prefix name ^ "?"
-let dep_witnessed name guid = dep_prefix name ^ Guid.to_string guid
+type entry = { e_verdict : verdict; e_deps : (string * witness) list }
 
-let dep_has_prefix ~prefix key =
-  String.length key >= String.length prefix
-  && String.equal (String.sub key 0 (String.length prefix)) prefix
+(* Lowercased name -> witness -> keys of the cached verdicts that saw
+   that name resolve that way. Keyed by name first, so an announcement
+   touches only the rows of the name announced. *)
+type dep_index = (string, (witness, (string, unit) Hashtbl.t) Hashtbl.t) Hashtbl.t
 
 type t = {
   cfg : Config.t;
   cfg_key : string;  (* [Config.key cfg], computed once: [cfg] is immutable *)
   resolve : Td.resolver;
   cache : entry Lru.Str.t;
-  (* lowercased type name -> set of cache keys whose entry depends on it *)
-  dep_index : (string, (string, unit) Hashtbl.t) Hashtbl.t;
-  (* dependency-name accumulator of the in-flight top-level computation *)
-  mutable cur_deps : (string, unit) Hashtbl.t option;
+  dep_index : dep_index;
+  (* dependency accumulator of the in-flight top-level computation *)
+  mutable cur_deps : (string * witness, unit) Hashtbl.t option;
   st : stats_mut;
 }
 
 let default_cache_capacity = 2048
 
-let unindex_deps dep_index key deps =
+let find_or_add tbl k make =
+  match Hashtbl.find_opt tbl k with
+  | Some v -> v
+  | None ->
+      let v = make () in
+      Hashtbl.replace tbl k v;
+      v
+
+let index_deps (dep_index : dep_index) key deps =
   List.iter
-    (fun dep ->
-      match Hashtbl.find_opt dep_index dep with
+    (fun (name, w) ->
+      let rows = find_or_add dep_index name (fun () -> Hashtbl.create 2) in
+      let keys = find_or_add rows w (fun () -> Hashtbl.create 4) in
+      Hashtbl.replace keys key ())
+    deps
+
+let unindex_deps (dep_index : dep_index) key deps =
+  List.iter
+    (fun (name, w) ->
+      match Hashtbl.find_opt dep_index name with
       | None -> ()
-      | Some keys ->
-          Hashtbl.remove keys key;
-          if Hashtbl.length keys = 0 then Hashtbl.remove dep_index dep)
+      | Some rows -> (
+          match Hashtbl.find_opt rows w with
+          | None -> ()
+          | Some keys ->
+              Hashtbl.remove keys key;
+              if Hashtbl.length keys = 0 then begin
+                Hashtbl.remove rows w;
+                if Hashtbl.length rows = 0 then Hashtbl.remove dep_index name
+              end))
     deps
 
 let create ?(config = Config.strict)
@@ -147,43 +166,46 @@ let clear_cache t =
   Lru.Str.clear t.cache;
   Hashtbl.reset t.dep_index
 
+let dependencies t =
+  Lru.Str.fold t.cache ~init:[] ~f:(fun key e acc ->
+      ( key,
+        List.map
+          (fun (name, w) ->
+            (name, match w with Saw g -> Some g | Missed -> None))
+          e.e_deps )
+      :: acc)
+
+(* The arriving description's GUID: a dependency that witnessed exactly
+   these bytes is still valid and must not be dropped. *)
+let stale ~witness w =
+  match witness, w with
+  | Some g, Saw seen -> not (Guid.equal g seen)
+  | _ -> true
+
 let note_new_type ?witness t name =
-  let prefix = dep_prefix name in
-  let keep =
-    (* The arriving description's GUID: a dependency that witnessed
-       exactly these bytes is still valid and must not be dropped. *)
-    match witness with Some g -> Some (dep_witnessed name g) | None -> None
-  in
-  let stale_deps =
-    Hashtbl.fold
-      (fun dep _ acc ->
-        if
-          dep_has_prefix ~prefix dep
-          && not (Option.equal String.equal keep (Some dep))
-        then dep :: acc
-        else acc)
-      t.dep_index []
-  in
-  match stale_deps with
-  | [] -> 0
-  | _ ->
-      let doomed = Hashtbl.create 16 in
-      List.iter
-        (fun dep ->
-          match Hashtbl.find_opt t.dep_index dep with
-          | None -> ()
-          | Some keys -> Hashtbl.iter (fun k () -> Hashtbl.replace doomed k ()) keys)
-        stale_deps;
-      let n = Lru.Str.invalidate_where t.cache (Hashtbl.mem doomed) in
-      (* on_evict already pruned the per-dep key sets entry by entry;
-         drop any now-empty dep rows. *)
-      List.iter
-        (fun dep ->
-          match Hashtbl.find_opt t.dep_index dep with
-          | Some keys when Hashtbl.length keys = 0 ->
-              Hashtbl.remove t.dep_index dep
-          | _ -> ())
-        stale_deps;
+  match Hashtbl.find_opt t.dep_index (String.lowercase_ascii name) with
+  | None -> 0
+  | Some rows ->
+      let doomed =
+        Hashtbl.fold
+          (fun w keys acc ->
+            if stale ~witness w then
+              Hashtbl.fold (fun key () acc -> key :: acc) keys acc
+            else acc)
+          rows []
+      in
+      (* A verdict may sit under several stale rows; [remove] fires
+         [on_evict], which prunes every row the entry was indexed under. *)
+      let n =
+        List.fold_left
+          (fun n key ->
+            if Lru.Str.mem t.cache key then begin
+              Lru.Str.remove t.cache key;
+              n + 1
+            end
+            else n)
+          0 doomed
+      in
       t.st.m_invalidated <- t.st.m_invalidated + n;
       n
 
@@ -261,10 +283,10 @@ let resolve t name =
      while a hit witnesses the GUID of the description it actually saw. *)
   match t.resolve name with
   | Some d ->
-      note_dep_key t (dep_witnessed name d.Td.ty_guid);
+      note_dep_key t (String.lowercase_ascii name, Saw d.Td.ty_guid);
       Some d
   | None ->
-      note_dep_key t (dep_miss name);
+      note_dep_key t (String.lowercase_ascii name, Missed);
       t.st.m_resolver_misses <- t.st.m_resolver_misses + 1;
       None
 
@@ -403,18 +425,7 @@ let rec conforms_desc t (assum : assum) depth (actual : Td.t)
               }
             in
             Lru.Str.put t.cache key entry;
-            List.iter
-              (fun dep ->
-                let keys =
-                  match Hashtbl.find_opt t.dep_index dep with
-                  | Some ks -> ks
-                  | None ->
-                      let ks = Hashtbl.create 4 in
-                      Hashtbl.replace t.dep_index dep ks;
-                      ks
-                in
-                Hashtbl.replace keys key ())
-              deps
+            index_deps t.dep_index key deps
           end;
           result
         end

@@ -148,7 +148,18 @@ val note_new_type : ?witness:Pti_util.Guid.t -> t -> string -> int
     verdict that resolved [name] at all is dropped — the safe
     pre-evolution behavior. A v2 publish therefore never poisons cached
     v1 verdicts (stale resolutions go) and never over-drops them
-    (same-witness resolutions stay). *)
+    (same-witness resolutions stay).
+
+    The dependency index is keyed by name first, so an announcement
+    costs the announced name's rows only: with no verdict depending on
+    [name] it is one lookup, whatever the cache holds. *)
+
+val dependencies : t -> (string * (string * Pti_util.Guid.t option) list) list
+(** Every cached verdict's key with the dependencies it was computed
+    from: (lowercased name, GUID the name resolved to, or [None] for a
+    miss). Introspection for tests: {!note_new_type} drops exactly the
+    verdicts with a dependency on the announced name whose GUID is not
+    the witness. *)
 
 val clear_cache : t -> unit
 (** Drop every cached verdict (the sledgehammer; prefer

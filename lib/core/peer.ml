@@ -111,6 +111,9 @@ type batch_buf = {
    bit-identically to the historical unsharded layout. *)
 type slot = {
   sl_tdesc_cache : Td.t Lru.Str.t;
+  (* Descriptions of loaded classes, built once per shard (see
+     [describe]); next to the cache of fetched ones. *)
+  sl_descs : (Meta.class_def * Td.t option) option array;
   sl_checker : Checker.t;
   sl_known_paths : string Lru.Str.t;  (* assembly name -> path *)
   sl_px : Proxy.context;
@@ -287,17 +290,36 @@ let lc = String.lowercase_ascii
 let versioned_key name version =
   if version > 0 then Printf.sprintf "%s@v%d" name version else name
 
+(* A loaded class's description, built on first use and kept in the
+   shard. The memo is a direct-mapped table indexed by GUID, so its size
+   is fixed however many classes churn through the registry: a class
+   whose slot another took is simply described again. An entry answers
+   only for the very definition it was built from (physical equality),
+   so an upgrade or a shadow registration can never be served a stale
+   description. The stored option is returned as is: a repeated lookup
+   allocates nothing. *)
+let descs_size = 256
+
+let describe descs cd =
+  let i = Pti_util.Guid.hash cd.Meta.td_guid land (descs_size - 1) in
+  match Array.unsafe_get descs i with
+  | Some (built_from, d) when built_from == cd -> d
+  | _ ->
+      let d = Some (Td.of_class cd) in
+      descs.(i) <- Some (cd, d);
+      d
+
 (* Description lookup: local code first, then the description cache. *)
 let local_desc t name =
   match Registry.find t.sh.sh_reg name with
-  | Some cd -> Some (Td.of_class cd)
+  | Some cd -> describe t.sl.sl_descs cd
   | None -> Lru.Str.find t.sl.sl_tdesc_cache (lc name)
 
 (* The exact revision an envelope entry pinned: loaded code by GUID, else
    the version-pinned cache slot (chain versions > 0 only). *)
 let pinned_desc t name ~version guid =
   match Registry.find_by_guid t.sh.sh_reg guid with
-  | Some cd -> Some (Td.of_class cd)
+  | Some cd -> describe t.sl.sl_descs cd
   | None when version > 0 ->
       Lru.Str.find t.sl.sl_tdesc_cache (versioned_key (lc name) version)
   | None -> None
@@ -1257,9 +1279,10 @@ let create_shared ?(config = Config.strict) ?(tdesc_cache_capacity = 512)
       Lru.Str.create ~capacity:(per tdesc_cache_capacity) ()
     in
     let desc_versions = Hashtbl.create 16 in
+    let descs = Array.make descs_size None in
     let resolver name =
       match Registry.find reg name with
-      | Some cd -> Some (Td.of_class cd)
+      | Some cd -> describe descs cd
       | None -> (
           let key = lc name in
           match Lru.Str.find tdesc_cache key with
@@ -1278,6 +1301,7 @@ let create_shared ?(config = Config.strict) ?(tdesc_cache_capacity = 512)
     in
     {
       sl_tdesc_cache = tdesc_cache;
+      sl_descs = descs;
       sl_checker = checker;
       (* Advertised download paths: a fixed 512-entry block budget. *)
       sl_known_paths = Lru.Str.create ~capacity:(per 512) ();

@@ -1,14 +1,23 @@
 module S = Pti_util.Strutil
 module Guid = Pti_util.Guid
 
+(* Qualified names are matched case-insensitively by the table itself,
+   so a lookup neither lowercases nor copies the name it is given. *)
+module Names = Hashtbl.Make (struct
+  type t = string
+
+  let equal = S.equal_ci
+  let hash = S.hash_ci
+end)
+
 type t = {
-  by_name : (string, Meta.class_def) Hashtbl.t;  (* key: lowercased qname *)
+  by_name : Meta.class_def Names.t;  (* key: lowercased qname *)
   by_guid : (Guid.t, Meta.class_def) Hashtbl.t;
 }
 
 exception Duplicate of string
 
-let create () = { by_name = Hashtbl.create 64; by_guid = Hashtbl.create 64 }
+let create () = { by_name = Names.create 64; by_guid = Hashtbl.create 64 }
 
 let key cd = String.lowercase_ascii (Meta.qualified_name cd)
 
@@ -17,13 +26,13 @@ let register t cd =
   | Ok () -> ()
   | Error msg -> invalid_arg ("Registry.register: " ^ msg));
   let k = key cd in
-  match Hashtbl.find_opt t.by_name k with
+  match Names.find_opt t.by_name k with
   | Some existing when existing = cd -> ()
   | Some _ -> raise (Duplicate (Meta.qualified_name cd))
   | None ->
       if Hashtbl.mem t.by_guid cd.Meta.td_guid then
         raise (Duplicate (Meta.qualified_name cd));
-      Hashtbl.replace t.by_name k cd;
+      Names.replace t.by_name k cd;
       Hashtbl.replace t.by_guid cd.Meta.td_guid cd
 
 (* Live schema evolution: the new definition takes over the qualified
@@ -38,7 +47,7 @@ let upgrade t cd =
   | Some existing when existing = cd -> ()
   | Some _ -> raise (Duplicate (Meta.qualified_name cd))
   | None -> ());
-  Hashtbl.replace t.by_name (key cd) cd;
+  Names.replace t.by_name (key cd) cd;
   Hashtbl.replace t.by_guid cd.Meta.td_guid cd
 
 (* The downgrade-safe counterpart: make the definition reachable by GUID
@@ -55,10 +64,10 @@ let shadow t cd =
   | Some _ -> raise (Duplicate (Meta.qualified_name cd))
   | None ->
       Hashtbl.replace t.by_guid cd.Meta.td_guid cd;
-      if not (Hashtbl.mem t.by_name (key cd)) then
-        Hashtbl.replace t.by_name (key cd) cd
+      if not (Names.mem t.by_name (key cd)) then
+        Names.replace t.by_name (key cd) cd
 
-let find t name = Hashtbl.find_opt t.by_name (String.lowercase_ascii name)
+let find t name = Names.find_opt t.by_name name
 
 let find_exn t name =
   match find t name with Some cd -> cd | None -> raise Not_found
@@ -66,11 +75,11 @@ let find_exn t name =
 let find_by_guid t guid = Hashtbl.find_opt t.by_guid guid
 let mem t name = find t name <> None
 let mem_guid t guid = Hashtbl.mem t.by_guid guid
-let all t = Hashtbl.fold (fun _ cd acc -> cd :: acc) t.by_name []
-let cardinal t = Hashtbl.length t.by_name
+let all t = Names.fold (fun _ cd acc -> cd :: acc) t.by_name []
+let cardinal t = Names.length t.by_name
 
 let copy t =
-  { by_name = Hashtbl.copy t.by_name; by_guid = Hashtbl.copy t.by_guid }
+  { by_name = Names.copy t.by_name; by_guid = Hashtbl.copy t.by_guid }
 
 let super_chain t cd =
   let rec go seen cd acc =

@@ -31,6 +31,10 @@ val of_string : string -> t option
 (** Inverse of {!to_string}; [None] on malformed input (e.g. dangling
     ["[]"]). *)
 
+val of_sub : string -> int -> int -> t option
+(** [of_sub s pos len = of_string (String.sub s pos len)], read in
+    place: only a [Named] reference allocates its name. *)
+
 val of_string_exn : string -> t
 
 val element_type : t -> t option

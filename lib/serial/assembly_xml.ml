@@ -3,22 +3,7 @@ module Xml = Pti_xml.Xml
 module Guid = Pti_util.Guid
 module S = Pti_util.Strutil
 
-let ( let* ) = Result.bind
-
 (* --- expressions ------------------------------------------------------ *)
-
-let binop_of_string s =
-  List.find_opt
-    (fun op -> String.equal (Expr.binop_name op) s)
-    [
-      Expr.Add; Expr.Sub; Expr.Mul; Expr.Div; Expr.Mod; Expr.Eq; Expr.Neq;
-      Expr.Lt; Expr.Le; Expr.Gt; Expr.Ge; Expr.And; Expr.Or; Expr.Concat;
-    ]
-
-let unop_of_string s =
-  List.find_opt
-    (fun op -> String.equal (Expr.unop_name op) s)
-    [ Expr.Neg; Expr.Not ]
 
 let rec expr_to_xml e =
   let open Xml in
@@ -69,158 +54,6 @@ let rec expr_to_xml e =
   | Expr.Try (b, v, h) ->
       elt "try" ~attrs:[ ("var", v) ] [ expr_to_xml b; expr_to_xml h ]
 
-let attr name x =
-  match Xml.attr name x with
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "missing attribute %S" name)
-
-let elements x =
-  List.filter (function Xml.Element _ -> true | _ -> false) (Xml.children x)
-
-let rec map_result f = function
-  | [] -> Ok []
-  | x :: rest ->
-      let* y = f x in
-      let* ys = map_result f rest in
-      Ok (y :: ys)
-
-let rec expr_of_xml x =
-  let kids () = map_result expr_of_xml (elements x) in
-  match Xml.tag x with
-  | Some "null" -> Ok Expr.null
-  | Some "bool" ->
-      let* v = attr "v" x in
-      (match bool_of_string_opt v with
-      | Some b -> Ok (Expr.bool b)
-      | None -> Error "bad bool")
-  | Some "int" ->
-      let* v = attr "v" x in
-      (match int_of_string_opt v with
-      | Some i -> Ok (Expr.int i)
-      | None -> Error "bad int")
-  | Some "float" ->
-      let* v = attr "v" x in
-      (match float_of_string_opt v with
-      | Some f -> Ok (Expr.Const (Expr.Cfloat f))
-      | None -> Error "bad float")
-  | Some "str" ->
-      let* v = attr "v" x in
-      Ok (Expr.str v)
-  | Some "chr" ->
-      let* v = attr "v" x in
-      (match int_of_string_opt v with
-      | Some c when c >= 0 && c < 256 -> Ok (Expr.Const (Expr.Cchar (Char.chr c)))
-      | _ -> Error "bad chr")
-  | Some "this" -> Ok Expr.This
-  | Some "var" ->
-      let* name = attr "name" x in
-      Ok (Expr.Var name)
-  | Some "let" -> (
-      let* name = attr "name" x in
-      let* ks = kids () in
-      match ks with
-      | [ e1; e2 ] -> Ok (Expr.Let (name, e1, e2))
-      | _ -> Error "let expects 2 children")
-  | Some "assign" -> (
-      let* name = attr "name" x in
-      let* ks = kids () in
-      match ks with
-      | [ e1 ] -> Ok (Expr.Assign (name, e1))
-      | _ -> Error "assign expects 1 child")
-  | Some "fget" -> (
-      let* field = attr "field" x in
-      let* ks = kids () in
-      match ks with
-      | [ o ] -> Ok (Expr.Field_get (o, field))
-      | _ -> Error "fget expects 1 child")
-  | Some "fset" -> (
-      let* field = attr "field" x in
-      let* ks = kids () in
-      match ks with
-      | [ o; v ] -> Ok (Expr.Field_set (o, field, v))
-      | _ -> Error "fset expects 2 children")
-  | Some "call" -> (
-      let* name = attr "name" x in
-      let* ks = kids () in
-      match ks with
-      | recv :: args -> Ok (Expr.Call (recv, name, args))
-      | [] -> Error "call expects a receiver")
-  | Some "scall" ->
-      let* cls = attr "class" x in
-      let* name = attr "name" x in
-      let* args = kids () in
-      Ok (Expr.Static_call (cls, name, args))
-  | Some "new" ->
-      let* cls = attr "class" x in
-      let* args = kids () in
-      Ok (Expr.New (cls, args))
-  | Some "newarr" -> (
-      let* ty_s = attr "type" x in
-      match Ty.of_string ty_s with
-      | None -> Error "bad array type"
-      | Some ty ->
-          let* items = kids () in
-          Ok (Expr.New_array (ty, items)))
-  | Some "aget" -> (
-      let* ks = kids () in
-      match ks with
-      | [ a; i ] -> Ok (Expr.Index_get (a, i))
-      | _ -> Error "aget expects 2 children")
-  | Some "aset" -> (
-      let* ks = kids () in
-      match ks with
-      | [ a; i; v ] -> Ok (Expr.Index_set (a, i, v))
-      | _ -> Error "aset expects 3 children")
-  | Some "alen" -> (
-      let* ks = kids () in
-      match ks with
-      | [ a ] -> Ok (Expr.Array_length a)
-      | _ -> Error "alen expects 1 child")
-  | Some "if" -> (
-      let* ks = kids () in
-      match ks with
-      | [ c; t; e ] -> Ok (Expr.If (c, t, e))
-      | _ -> Error "if expects 3 children")
-  | Some "while" -> (
-      let* ks = kids () in
-      match ks with
-      | [ c; b ] -> Ok (Expr.While (c, b))
-      | _ -> Error "while expects 2 children")
-  | Some "seq" ->
-      let* ks = kids () in
-      Ok (Expr.Seq ks)
-  | Some "binop" -> (
-      let* op_s = attr "op" x in
-      match binop_of_string op_s with
-      | None -> Error (Printf.sprintf "bad binop %S" op_s)
-      | Some op -> (
-          let* ks = kids () in
-          match ks with
-          | [ a; b ] -> Ok (Expr.Binop (op, a, b))
-          | _ -> Error "binop expects 2 children"))
-  | Some "unop" -> (
-      let* op_s = attr "op" x in
-      match unop_of_string op_s with
-      | None -> Error (Printf.sprintf "bad unop %S" op_s)
-      | Some op -> (
-          let* ks = kids () in
-          match ks with
-          | [ a ] -> Ok (Expr.Unop (op, a))
-          | _ -> Error "unop expects 1 child"))
-  | Some "throw" -> (
-      let* ks = kids () in
-      match ks with
-      | [ a ] -> Ok (Expr.Throw a)
-      | _ -> Error "throw expects 1 child")
-  | Some "try" -> (
-      let* var = attr "var" x in
-      let* ks = kids () in
-      match ks with
-      | [ b; h ] -> Ok (Expr.Try (b, var, h))
-      | _ -> Error "try expects 2 children")
-  | Some other -> Error (Printf.sprintf "unknown expression tag <%s>" other)
-  | None -> Error "expected an element"
-
 (* --- classes ---------------------------------------------------------- *)
 
 let mods_attrs (m : Meta.member_mods) =
@@ -229,19 +62,6 @@ let mods_attrs (m : Meta.member_mods) =
     ("static", string_of_bool m.Meta.static);
     ("virtual", string_of_bool m.Meta.virtual_);
   ]
-
-let mods_of_xml x =
-  let* vis_s = attr "visibility" x in
-  let* visibility =
-    match Meta.visibility_of_string vis_s with
-    | Some v -> Ok v
-    | None -> Error (Printf.sprintf "bad visibility %S" vis_s)
-  in
-  let* st_s = attr "static" x in
-  let* vt_s = attr "virtual" x in
-  match bool_of_string_opt st_s, bool_of_string_opt vt_s with
-  | Some static, Some virtual_ -> Ok { Meta.visibility; static; virtual_ }
-  | _ -> Error "bad modifier booleans"
 
 let params_to_xml ps =
   List.map
@@ -252,29 +72,9 @@ let params_to_xml ps =
         [])
     ps
 
-let params_of_xml x =
-  map_result
-    (fun p ->
-      let* name = attr "name" p in
-      let* ty_s = attr "type" p in
-      match Ty.of_string ty_s with
-      | Some ty -> Ok { Meta.param_name = name; param_ty = ty }
-      | None -> Error (Printf.sprintf "bad param type %S" ty_s))
-    (Xml.childs "param" x)
-
 let body_to_xml tag = function
   | None -> []
   | Some e -> [ Xml.elt tag [ expr_to_xml e ] ]
-
-let body_of_xml tag x =
-  match Xml.child tag x with
-  | None -> Ok None
-  | Some b -> (
-      match elements b with
-      | [ e ] ->
-          let* expr = expr_of_xml e in
-          Ok (Some expr)
-      | _ -> Error (Printf.sprintf "<%s> expects one child" tag))
 
 let class_to_xml (cd : Meta.class_def) =
   let open Xml in
@@ -320,91 +120,6 @@ let class_to_xml (cd : Meta.class_def) =
            cd.Meta.td_methods;
        ])
 
-let class_of_xml x =
-  match Xml.tag x with
-  | Some "class" ->
-      let* name = attr "name" x in
-      let* ns_s = attr "namespace" x in
-      let td_namespace = if ns_s = "" then [] else S.split_on '.' ns_s in
-      let* guid_s = attr "guid" x in
-      let* td_guid =
-        match Guid.of_string guid_s with
-        | Some g -> Ok g
-        | None -> Error (Printf.sprintf "bad guid %S" guid_s)
-      in
-      let* kind_s = attr "kind" x in
-      let* td_kind =
-        match Meta.kind_of_string kind_s with
-        | Some k -> Ok k
-        | None -> Error (Printf.sprintf "bad kind %S" kind_s)
-      in
-      let* td_assembly = attr "assembly" x in
-      let* td_super =
-        match Xml.child "super" x with
-        | None -> Ok None
-        | Some s ->
-            let* n = attr "name" s in
-            Ok (Some n)
-      in
-      let* td_interfaces =
-        map_result (attr "name") (Xml.childs "interface" x)
-      in
-      let* td_fields =
-        map_result
-          (fun f ->
-            let* f_name = attr "name" f in
-            let* ty_s = attr "type" f in
-            let* f_ty =
-              match Ty.of_string ty_s with
-              | Some ty -> Ok ty
-              | None -> Error (Printf.sprintf "bad field type %S" ty_s)
-            in
-            let* f_mods = mods_of_xml f in
-            let* f_init = body_of_xml "init" f in
-            Ok { Meta.f_name; f_ty; f_mods; f_init })
-          (Xml.childs "field" x)
-      in
-      let* td_ctors =
-        map_result
-          (fun c ->
-            let* c_params = params_of_xml c in
-            let* c_mods = mods_of_xml c in
-            let* c_body = body_of_xml "body" c in
-            Ok { Meta.c_params; c_mods; c_body })
-          (Xml.childs "constructor" x)
-      in
-      let* td_methods =
-        map_result
-          (fun m ->
-            let* m_name = attr "name" m in
-            let* ret_s = attr "return" m in
-            let* m_return =
-              match Ty.of_string ret_s with
-              | Some ty -> Ok ty
-              | None -> Error (Printf.sprintf "bad return type %S" ret_s)
-            in
-            let* m_params = params_of_xml m in
-            let* m_mods = mods_of_xml m in
-            let* m_body = body_of_xml "body" m in
-            Ok { Meta.m_name; m_params; m_return; m_mods; m_body })
-          (Xml.childs "method" x)
-      in
-      Ok
-        {
-          Meta.td_name = name;
-          td_namespace;
-          td_guid;
-          td_kind;
-          td_super;
-          td_interfaces;
-          td_fields;
-          td_ctors;
-          td_methods;
-          td_assembly;
-        }
-  | Some other -> Error (Printf.sprintf "expected <class>, got <%s>" other)
-  | None -> Error "expected an element"
-
 (* --- assemblies ------------------------------------------------------- *)
 
 let to_xml (a : Assembly.t) =
@@ -419,37 +134,297 @@ let to_xml (a : Assembly.t) =
        a.Assembly.asm_requires
     @ List.map class_to_xml a.Assembly.asm_classes)
 
-let of_xml x =
-  match Xml.tag x with
-  | Some "assembly" ->
-      let* name = attr "name" x in
-      let* version_s = attr "version" x in
-      let* version =
-        match int_of_string_opt version_s with
-        | Some v -> Ok v
-        | None -> Error "bad version"
-      in
-      let* requires = map_result (attr "name") (Xml.childs "requires" x) in
-      let* classes = map_result class_of_xml (Xml.childs "class" x) in
-      Ok
-        {
-          Assembly.asm_name = name;
-          asm_version = version;
-          asm_classes = classes;
-          asm_requires = requires;
-        }
-  | Some other -> Error (Printf.sprintf "expected <assembly>, got <%s>" other)
-  | None -> Error "expected an element"
-
 (* Wire strings carry an integrity digest over the canonical rendering:
    a byte flip that still parses as a (different) assembly would load
    mangled code, so corruption must be caught before loading. *)
 let to_string a = Xml.to_string (Pti_xml.Digest_attr.add (to_xml a))
 
-let of_string s =
-  match Xml.parse s with
-  | Error e -> Error (Format.asprintf "%a" Xml.pp_error e)
-  | Ok x -> (
-      match Pti_xml.Digest_attr.verify x with
-      | Error e -> Error ("corrupt assembly: " ^ e)
-      | Ok x -> of_xml x)
+(* --- decoding ----------------------------------------------------- *)
+
+(* Decoding reads the document straight from its bytes through
+   {!Xml.Reader}, with the digest streamed as it goes: no tree is built,
+   and a value is copied only when the assembly keeps it. It accepts
+   exactly what a decoder over the parsed tree would: members in any
+   order, unknown members skipped, the first [<body>] (or a field's
+   first [<init>]) winning, and every element child of an expression
+   itself an expression. The first semantic error stops decoding;
+   {!Pti_xml.Digest_attr.decode} then reads on, so a syntax error or a
+   digest mismatch later in the document still takes precedence. *)
+
+module R = Xml.Reader
+
+let ty_attr r name what =
+  let i = R.required r name in
+  match R.value_with r i Ty.of_sub with
+  | Some ty -> ty
+  | None -> R.invalid "bad %s %S" what (R.value r i)
+
+(* Expressions whose attribute is parsed from a copy. *)
+let parsed_attr r name parse what =
+  match parse (R.required_value r name) with
+  | Some v -> v
+  | None -> R.invalid "%s" what
+
+let binops =
+  [
+    Expr.Add; Expr.Sub; Expr.Mul; Expr.Div; Expr.Mod; Expr.Eq; Expr.Neq;
+    Expr.Lt; Expr.Le; Expr.Gt; Expr.Ge; Expr.And; Expr.Or; Expr.Concat;
+  ]
+
+let leaf r e =
+  R.skip r;
+  e
+
+(* Called on an expression's start tag; reads through its end. *)
+let rec expr r =
+  if R.is r "null" then leaf r Expr.null
+  else if R.is r "bool" then
+    leaf r (Expr.bool (parsed_attr r "v" bool_of_string_opt "bad bool"))
+  else if R.is r "int" then
+    leaf r (Expr.int (parsed_attr r "v" int_of_string_opt "bad int"))
+  else if R.is r "float" then
+    let f = parsed_attr r "v" float_of_string_opt "bad float" in
+    leaf r (Expr.Const (Expr.Cfloat f))
+  else if R.is r "str" then leaf r (Expr.str (R.required_value r "v"))
+  else if R.is r "chr" then
+    match int_of_string_opt (R.required_value r "v") with
+    | Some c when c >= 0 && c < 256 ->
+        leaf r (Expr.Const (Expr.Cchar (Char.chr c)))
+    | _ -> R.invalid "bad chr"
+  else if R.is r "this" then leaf r Expr.This
+  else if R.is r "var" then leaf r (Expr.Var (R.required_value r "name"))
+  else if R.is r "let" then
+    let name = R.required_value r "name" in
+    match kids r with
+    | [ e1; e2 ] -> Expr.Let (name, e1, e2)
+    | _ -> R.invalid "let expects 2 children"
+  else if R.is r "assign" then
+    let name = R.required_value r "name" in
+    match kids r with
+    | [ e1 ] -> Expr.Assign (name, e1)
+    | _ -> R.invalid "assign expects 1 child"
+  else if R.is r "fget" then
+    let field = R.required_value r "field" in
+    match kids r with
+    | [ o ] -> Expr.Field_get (o, field)
+    | _ -> R.invalid "fget expects 1 child"
+  else if R.is r "fset" then
+    let field = R.required_value r "field" in
+    match kids r with
+    | [ o; v ] -> Expr.Field_set (o, field, v)
+    | _ -> R.invalid "fset expects 2 children"
+  else if R.is r "call" then
+    let name = R.required_value r "name" in
+    match kids r with
+    | recv :: args -> Expr.Call (recv, name, args)
+    | [] -> R.invalid "call expects a receiver"
+  else if R.is r "scall" then
+    let cls = R.required_value r "class" in
+    let name = R.required_value r "name" in
+    Expr.Static_call (cls, name, kids r)
+  else if R.is r "new" then
+    let cls = R.required_value r "class" in
+    Expr.New (cls, kids r)
+  else if R.is r "newarr" then
+    let ty =
+      let i = R.required r "type" in
+      match R.value_with r i Ty.of_sub with
+      | Some ty -> ty
+      | None -> R.invalid "bad array type"
+    in
+    Expr.New_array (ty, kids r)
+  else if R.is r "aget" then
+    match kids r with
+    | [ a; i ] -> Expr.Index_get (a, i)
+    | _ -> R.invalid "aget expects 2 children"
+  else if R.is r "aset" then
+    match kids r with
+    | [ a; i; v ] -> Expr.Index_set (a, i, v)
+    | _ -> R.invalid "aset expects 3 children"
+  else if R.is r "alen" then
+    match kids r with
+    | [ a ] -> Expr.Array_length a
+    | _ -> R.invalid "alen expects 1 child"
+  else if R.is r "if" then
+    match kids r with
+    | [ c; t; e ] -> Expr.If (c, t, e)
+    | _ -> R.invalid "if expects 3 children"
+  else if R.is r "while" then
+    match kids r with
+    | [ c; b ] -> Expr.While (c, b)
+    | _ -> R.invalid "while expects 2 children"
+  else if R.is r "seq" then Expr.Seq (kids r)
+  else if R.is r "binop" then
+    let op = R.choice r "op" ~what:"binop" Expr.binop_name binops in
+    match kids r with
+    | [ a; b ] -> Expr.Binop (op, a, b)
+    | _ -> R.invalid "binop expects 2 children"
+  else if R.is r "unop" then
+    let op =
+      R.choice r "op" ~what:"unop" Expr.unop_name [ Expr.Neg; Expr.Not ]
+    in
+    match kids r with
+    | [ a ] -> Expr.Unop (op, a)
+    | _ -> R.invalid "unop expects 1 child"
+  else if R.is r "throw" then
+    match kids r with
+    | [ a ] -> Expr.Throw a
+    | _ -> R.invalid "throw expects 1 child"
+  else if R.is r "try" then
+    let var = R.required_value r "var" in
+    match kids r with
+    | [ b; h ] -> Expr.Try (b, var, h)
+    | _ -> R.invalid "try expects 2 children"
+  else R.invalid "unknown expression tag <%s>" (R.name r)
+
+(* Every element child is an expression; reads through the end. *)
+and kids r =
+  match R.next_tag r with
+  | R.Start ->
+      let e = expr r in
+      e :: kids r
+  | _ -> []
+
+(* A [<body>] or [<init>] just started: exactly one element child, the
+   expression. *)
+let body r tag =
+  match R.next_tag r with
+  | R.Start -> (
+      let e = expr r in
+      match R.next_tag r with
+      | R.Start -> R.invalid "<%s> expects one child" tag
+      | _ -> e)
+  | _ -> R.invalid "<%s> expects one child" tag
+
+let mods_of r =
+  let visibility =
+    R.choice r "visibility" ~what:"visibility" Meta.visibility_to_string
+      [ Meta.Public; Meta.Protected; Meta.Private ]
+  in
+  let static = R.required_value r "static" in
+  let virtual_ = R.required_value r "virtual" in
+  match bool_of_string_opt static, bool_of_string_opt virtual_ with
+  | Some static, Some virtual_ -> { Meta.visibility; static; virtual_ }
+  | _ -> R.invalid "bad modifier booleans"
+
+(* The [<param>] children (when [params]) and the first [<tag>] body of
+   the member just started, through its end. *)
+let params_and_body r ~params:with_params tag =
+  let rec go params bd =
+    match R.next_tag r with
+    | R.Start when with_params && R.is r "param" ->
+        let param_name = R.required_value r "name" in
+        let param_ty = ty_attr r "type" "param type" in
+        R.skip r;
+        go ({ Meta.param_name; param_ty } :: params) bd
+    | R.Start when bd = None && R.is r tag -> go params (Some (body r tag))
+    | R.Start ->
+        R.skip r;
+        go params bd
+    | _ -> (List.rev params, bd)
+  in
+  go [] None
+
+type members = {
+  mutable super : string option;
+  mutable interfaces : string list;
+  mutable fields : Meta.field_def list;
+  mutable ctors : Meta.ctor_def list;
+  mutable methods : Meta.method_def list;
+}
+
+let rec read_members r m =
+  match R.next_tag r with
+  | R.Start ->
+      if R.is r "super" then begin
+        if m.super = None then m.super <- Some (R.required_value r "name");
+        R.skip r
+      end
+      else if R.is r "interface" then begin
+        m.interfaces <- R.required_value r "name" :: m.interfaces;
+        R.skip r
+      end
+      else if R.is r "field" then begin
+        let f_name = R.required_value r "name" in
+        let f_ty = ty_attr r "type" "field type" in
+        let f_mods = mods_of r in
+        let _, f_init = params_and_body r ~params:false "init" in
+        m.fields <- { Meta.f_name; f_ty; f_mods; f_init } :: m.fields
+      end
+      else if R.is r "constructor" then begin
+        let c_mods = mods_of r in
+        let c_params, c_body = params_and_body r ~params:true "body" in
+        m.ctors <- { Meta.c_params; c_mods; c_body } :: m.ctors
+      end
+      else if R.is r "method" then begin
+        let m_name = R.required_value r "name" in
+        let m_return = ty_attr r "return" "return type" in
+        let m_mods = mods_of r in
+        let m_params, m_body = params_and_body r ~params:true "body" in
+        m.methods <-
+          { Meta.m_name; m_params; m_return; m_mods; m_body } :: m.methods
+      end
+      else R.skip r;
+      read_members r m
+  | _ -> ()
+
+(* A [<class>] just started; reads through its end. *)
+let class_def r =
+  let td_name = R.required_value r "name" in
+  let td_namespace =
+    let ns = R.required_value r "namespace" in
+    if ns = "" then [] else S.split_on '.' ns
+  in
+  let td_guid =
+    let g = R.required_value r "guid" in
+    match Guid.of_string g with Some g -> g | None -> R.invalid "bad guid %S" g
+  in
+  let td_kind =
+    R.choice r "kind" ~what:"kind" Meta.kind_to_string
+      [ Meta.Class; Meta.Interface ]
+  in
+  let td_assembly = R.required_value r "assembly" in
+  let m =
+    { super = None; interfaces = []; fields = []; ctors = []; methods = [] }
+  in
+  read_members r m;
+  {
+    Meta.td_name;
+    td_namespace;
+    td_guid;
+    td_kind;
+    td_super = m.super;
+    td_interfaces = List.rev m.interfaces;
+    td_fields = List.rev m.fields;
+    td_ctors = List.rev m.ctors;
+    td_methods = List.rev m.methods;
+    td_assembly;
+  }
+
+let decode r =
+  ignore (R.next_tag r);
+  if not (R.is r "assembly") then
+    R.invalid "expected <assembly>, got <%s>" (R.name r);
+  let asm_name = R.required_value r "name" in
+  let asm_version = parsed_attr r "version" int_of_string_opt "bad version" in
+  let rec go requires classes =
+    match R.next_tag r with
+    | R.Start when R.is r "requires" ->
+        let name = R.required_value r "name" in
+        R.skip r;
+        go (name :: requires) classes
+    | R.Start when R.is r "class" -> go requires (class_def r :: classes)
+    | R.Start ->
+        R.skip r;
+        go requires classes
+    | _ ->
+        {
+          Assembly.asm_name;
+          asm_version;
+          asm_classes = List.rev classes;
+          asm_requires = List.rev requires;
+        }
+  in
+  go [] []
+
+let of_string s = Pti_xml.Digest_attr.decode ~what:"assembly" s decode

@@ -283,122 +283,132 @@ let to_xml t =
            t.ty_methods;
        ])
 
-let ( let* ) = Result.bind
+(* Decoding reads the document straight from its bytes through
+   {!Xml.Reader}, with the digest streamed as it goes: no tree is built,
+   and a value is copied only when the description keeps it. It accepts
+   exactly what a decoder over the parsed tree would: children in any
+   order, unknown elements (and any children of a member) skipped, the
+   first [<super>] winning. The first semantic error stops decoding;
+   {!Pti_xml.Digest_attr.decode} then reads on, so a syntax error or a
+   digest mismatch later in the document still takes precedence. *)
 
-let attr_req name x =
-  match Xml.attr name x with
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "missing attribute %S" name)
+module X = Xml.Reader
 
-let ty_attr name x =
-  let* s = attr_req name x in
-  match Ty.of_string s with
-  | Some ty -> Ok ty
-  | None -> Error (Printf.sprintf "bad type reference %S" s)
+let ty_attr r name =
+  let i = X.required r name in
+  match X.value_with r i Ty.of_sub with
+  | Some ty -> ty
+  | None -> X.invalid "bad type reference %S" (X.value r i)
 
-let bool_attr name x =
-  let* s = attr_req name x in
-  match bool_of_string_opt s with
-  | Some b -> Ok b
-  | None -> Error (Printf.sprintf "bad boolean %S for %S" s name)
+let bool_attr r name =
+  let i = X.required r name in
+  if X.value_is r i "true" then true
+  else if X.value_is r i "false" then false
+  else X.invalid "bad boolean %S for %S" (X.value r i) name
 
-let mods_of_xml x =
-  let* vis_s = attr_req "visibility" x in
-  let* visibility =
-    match Meta.visibility_of_string vis_s with
-    | Some v -> Ok v
-    | None -> Error (Printf.sprintf "bad visibility %S" vis_s)
+let mods_of r =
+  let visibility =
+    X.choice r "visibility" ~what:"visibility" Meta.visibility_to_string
+      [ Meta.Public; Meta.Protected; Meta.Private ]
   in
-  let* static = bool_attr "static" x in
-  let* virtual_ = bool_attr "virtual" x in
-  Ok { Meta.visibility; static; virtual_ }
+  let static = bool_attr r "static" in
+  let virtual_ = bool_attr r "virtual" in
+  { Meta.visibility; static; virtual_ }
 
-let rec map_result f = function
-  | [] -> Ok []
-  | x :: rest ->
-      let* y = f x in
-      let* ys = map_result f rest in
-      Ok (y :: ys)
+let namespace_attr r =
+  let ns = X.required_value r "namespace" in
+  if ns = "" then [] else S.split_on '.' ns
 
-let params_of_xml x =
-  map_result
-    (fun p ->
-      let* name = attr_req "name" p in
-      let* ty = ty_attr "type" p in
-      Ok { pd_name = name; pd_ty = ty })
-    (Xml.childs "param" x)
+let guid_attr r =
+  let g = X.required_value r "guid" in
+  match Guid.of_string g with
+  | Some g -> g
+  | None -> X.invalid "bad guid %S" g
 
-let of_xml x =
-  match Xml.tag x with
-  | Some "typeDescription" ->
-      let* name = attr_req "name" x in
-      let* ns_s = attr_req "namespace" x in
-      let ty_namespace = if ns_s = "" then [] else S.split_on '.' ns_s in
-      let* guid_s = attr_req "guid" x in
-      let* ty_guid =
-        match Guid.of_string guid_s with
-        | Some g -> Ok g
-        | None -> Error (Printf.sprintf "bad guid %S" guid_s)
-      in
-      let* kind_s = attr_req "kind" x in
-      let* ty_kind =
-        match Meta.kind_of_string kind_s with
-        | Some k -> Ok k
-        | None -> Error (Printf.sprintf "bad kind %S" kind_s)
-      in
-      let* ty_assembly = attr_req "assembly" x in
-      let* ty_super =
-        match Xml.child "super" x with
-        | None -> Ok None
-        | Some s ->
-            let* n = attr_req "name" s in
-            Ok (Some n)
-      in
-      let* ty_interfaces =
-        map_result (attr_req "name") (Xml.childs "interface" x)
-      in
-      let* ty_fields =
-        map_result
-          (fun f ->
-            let* fd_name = attr_req "name" f in
-            let* fd_ty = ty_attr "type" f in
-            let* fd_mods = mods_of_xml f in
-            Ok { fd_name; fd_ty; fd_mods })
-          (Xml.childs "field" x)
-      in
-      let* ty_ctors =
-        map_result
-          (fun c ->
-            let* cd_params = params_of_xml c in
-            let* cd_mods = mods_of_xml c in
-            Ok { cd_params; cd_mods })
-          (Xml.childs "constructor" x)
-      in
-      let* ty_methods =
-        map_result
-          (fun m ->
-            let* md_name = attr_req "name" m in
-            let* md_return = ty_attr "return" m in
-            let* md_params = params_of_xml m in
-            let* md_mods = mods_of_xml m in
-            Ok { md_name; md_params; md_return; md_mods })
-          (Xml.childs "method" x)
-      in
-      Ok
-        {
-          ty_name = name;
-          ty_namespace;
-          ty_guid;
-          ty_kind;
-          ty_super;
-          ty_interfaces;
-          ty_fields;
-          ty_ctors;
-          ty_methods;
-          ty_assembly;
-        }
-  | Some other -> Error (Printf.sprintf "expected <typeDescription>, got <%s>" other)
-  | None -> Error "expected an element"
+(* The [<param>] children of the element just started, through its end;
+   [acc] holds those read so far, reversed. *)
+let rec params_of r acc =
+  match X.next_tag r with
+  | X.Start when X.is r "param" ->
+      let pd_name = X.required_value r "name" in
+      let pd_ty = ty_attr r "type" in
+      X.skip r;
+      params_of r ({ pd_name; pd_ty } :: acc)
+  | X.Start ->
+      X.skip r;
+      params_of r acc
+  | _ -> List.rev acc
+
+type members = {
+  mutable super : string option;
+  mutable interfaces : string list;
+  mutable fields : field_desc list;
+  mutable ctors : ctor_desc list;
+  mutable methods : method_desc list;
+}
+
+let rec read_members r m =
+  match X.next_tag r with
+  | X.Start ->
+      if X.is r "super" then begin
+        if m.super = None then m.super <- Some (X.required_value r "name");
+        X.skip r
+      end
+      else if X.is r "interface" then begin
+        m.interfaces <- X.required_value r "name" :: m.interfaces;
+        X.skip r
+      end
+      else if X.is r "field" then begin
+        let fd_name = X.required_value r "name" in
+        let fd_ty = ty_attr r "type" in
+        let fd_mods = mods_of r in
+        X.skip r;
+        m.fields <- { fd_name; fd_ty; fd_mods } :: m.fields
+      end
+      else if X.is r "constructor" then begin
+        let cd_mods = mods_of r in
+        let cd_params = params_of r [] in
+        m.ctors <- { cd_params; cd_mods } :: m.ctors
+      end
+      else if X.is r "method" then begin
+        let md_name = X.required_value r "name" in
+        let md_return = ty_attr r "return" in
+        let md_mods = mods_of r in
+        let md_params = params_of r [] in
+        m.methods <- { md_name; md_params; md_return; md_mods } :: m.methods
+      end
+      else X.skip r;
+      read_members r m
+  | _ -> ()
+
+let decode r =
+  ignore (X.next_tag r);
+  if not (X.is r "typeDescription") then
+    X.invalid "expected <typeDescription>, got <%s>" (X.name r);
+  let ty_name = X.required_value r "name" in
+  let ty_namespace = namespace_attr r in
+  let ty_guid = guid_attr r in
+  let ty_kind =
+    X.choice r "kind" ~what:"kind" Meta.kind_to_string
+      [ Meta.Class; Meta.Interface ]
+  in
+  let ty_assembly = X.required_value r "assembly" in
+  let m =
+    { super = None; interfaces = []; fields = []; ctors = []; methods = [] }
+  in
+  read_members r m;
+  {
+    ty_name;
+    ty_namespace;
+    ty_guid;
+    ty_kind;
+    ty_super = m.super;
+    ty_interfaces = List.rev m.interfaces;
+    ty_fields = List.rev m.fields;
+    ty_ctors = List.rev m.ctors;
+    ty_methods = List.rev m.methods;
+    ty_assembly;
+  }
 
 (* The compact wire rendering carries an integrity digest; the pretty
    rendering is for display and stays digest-free (whitespace would not
@@ -408,12 +418,7 @@ let to_xml_string ?(pretty = false) t =
   else Xml.to_string (Pti_xml.Digest_attr.add (to_xml t))
 
 let of_xml_string s =
-  match Xml.parse s with
-  | Error e -> Error (Format.asprintf "%a" Xml.pp_error e)
-  | Ok x -> (
-      match Pti_xml.Digest_attr.verify x with
-      | Error e -> Error ("corrupt type description: " ^ e)
-      | Ok x -> of_xml x)
+  Pti_xml.Digest_attr.decode ~what:"type description" s decode
 
 let size_bytes t = Xml.size_bytes (to_xml t)
 

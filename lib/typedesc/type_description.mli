@@ -76,9 +76,19 @@ val size_bytes : t -> int
 (** {1 XML codec (§5.2)} *)
 
 val to_xml : t -> Pti_xml.Xml.t
-val of_xml : Pti_xml.Xml.t -> (t, string) result
 val to_xml_string : ?pretty:bool -> t -> string
+
 val of_xml_string : string -> (t, string) result
+(** Decodes a [<typeDescription>] straight from its bytes through
+    {!Pti_xml.Xml.Reader}: no tree is built, the digest is checked as the
+    bytes stream past ({!Pti_xml.Digest_attr.decode}), and a value is
+    copied only when the description keeps it. Children may come in any
+    order; unknown elements are skipped; the first [<super>] wins.
+
+    Errors rank: a syntax error (with its byte position), then a digest
+    mismatch (["corrupt type description: digest mismatch"]), then the
+    first semantic error (a missing attribute, a malformed type
+    reference, GUID, kind, visibility or boolean). *)
 
 val pp : Format.formatter -> t -> unit
 

@@ -6,8 +6,23 @@ let split_on c s = String.split_on_char c s
 
 let join sep parts = String.concat sep parts
 
+let rec equal_ci_from a b i =
+  i >= String.length a
+  || Char.equal
+       (Char.lowercase_ascii (String.unsafe_get a i))
+       (Char.lowercase_ascii (String.unsafe_get b i))
+     && equal_ci_from a b (i + 1)
+
 let equal_ci a b =
-  String.equal (String.lowercase_ascii a) (String.lowercase_ascii b)
+  String.length a = String.length b && equal_ci_from a b 0
+
+let rec hash_ci_from s i h =
+  if i >= String.length s then h land max_int
+  else
+    hash_ci_from s (i + 1)
+      ((h * 31) + Char.code (Char.lowercase_ascii (String.unsafe_get s i)))
+
+let hash_ci s = hash_ci_from s 0 0
 
 let compare_ci a b =
   String.compare (String.lowercase_ascii a) (String.lowercase_ascii b)

@@ -8,7 +8,12 @@ val join : string -> string list -> string
 
 val equal_ci : string -> string -> bool
 (** ASCII case-insensitive equality; identifier comparison in the CTS is
-    case-insensitive, mirroring the paper's name rule. *)
+    case-insensitive, mirroring the paper's name rule. Compared in
+    place. *)
+
+val hash_ci : string -> int
+(** A hash consistent with {!equal_ci}, computed in place: keys a table
+    looked up by names in any case without lowercasing them. *)
 
 val compare_ci : string -> string -> int
 

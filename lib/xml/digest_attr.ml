@@ -9,6 +9,8 @@ let strip = function
 (* The canonical rendering is folded into the hash as it is produced. *)
 let digest stripped = Pti_util.Fnv.to_hex (Xml.hash stripped)
 
+let mismatch = "digest mismatch"
+
 let add x =
   match strip x with
   | Xml.Element (tag, attrs, children) as stripped ->
@@ -23,5 +25,27 @@ let verify x =
       | Some d ->
           let stripped = strip x in
           if String.equal d (digest stripped) then Ok stripped
-          else Error "digest mismatch")
+          else Error mismatch)
   | other -> Ok other
+
+let reader s = Xml.Reader.create ~digest:attr_name s
+
+let check r =
+  match Xml.Reader.omitted r with
+  | None -> Ok ()
+  | Some d ->
+      if String.equal d (Pti_util.Fnv.to_hex (Xml.Reader.digest r)) then Ok ()
+      else Error mismatch
+
+let decode ~what s f =
+  let r = reader s in
+  match
+    let v = match f r with v -> Ok v | exception Xml.Reader.Invalid m -> Error m in
+    Xml.Reader.drain r;
+    v
+  with
+  | exception Xml.Malformed e -> Error (Format.asprintf "%a" Xml.pp_error e)
+  | v -> (
+      match check r with
+      | Error m -> Error (Printf.sprintf "corrupt %s: %s" what m)
+      | Ok () -> v)

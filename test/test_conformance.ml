@@ -760,6 +760,173 @@ let test_cold_path_allocation () =
       Checker.clear_cache checker;
       Checker.check checker ~actual ~interest)
 
+(* ----------------------- dependency index ------------------------- *)
+
+(* The flat scan the name-keyed index replaced, kept as the reference:
+   every cached dependency as one string "<lowercased name>\000<GUID or
+   ?>", matched by prefix against the announced name, sparing the
+   dependency that witnessed exactly the announced GUID. Returns the
+   keys it would drop. *)
+let reference_doomed deps ?witness name =
+  let prefix = String.lowercase_ascii name ^ "\000" in
+  let keep = Option.map (fun g -> prefix ^ Pti_util.Guid.to_string g) witness in
+  let index = Hashtbl.create 16 in
+  List.iter
+    (fun (key, ds) ->
+      List.iter
+        (fun (n, w) ->
+          let dep =
+            n ^ "\000"
+            ^ match w with Some g -> Pti_util.Guid.to_string g | None -> "?"
+          in
+          Hashtbl.add index dep key)
+        ds)
+    deps;
+  Hashtbl.fold
+    (fun dep key acc ->
+      if
+        Pti_util.Strutil.starts_with ~prefix dep
+        && not (Option.equal String.equal keep (Some dep))
+      then key :: acc
+      else acc)
+    index []
+  |> List.sort_uniq compare
+
+(* A world of pairs whose checks resolve dependency types that come,
+   go and change version: sender classes [s.P0..3] against receiver
+   classes [r.P0..3], holding fields of [s.A]/[s.B] and [r.A]/[r.B]. *)
+let dep_names = [| "s.A"; "s.B"; "r.A"; "r.B" |]
+
+let dep_version name v =
+  let ns, simple =
+    match String.split_on_char '.' name with
+    | [ ns; n ] -> ([ ns ], n)
+    | _ -> assert false
+  in
+  let b =
+    B.class_ ~ns ~assembly:(Printf.sprintf "v%d" v) simple
+    |> B.field "x" Ty.Int
+  in
+  Td.of_class (B.build (if v = 2 then B.field "y" Ty.String b else b))
+
+let pair_class ns k =
+  let fields =
+    match k with
+    | 0 -> [ "A" ]
+    | 1 -> [ "B" ]
+    | 2 -> [ "A"; "B" ]
+    | _ -> []
+  in
+  List.fold_left
+    (fun b f -> B.field (String.lowercase_ascii f) (Ty.Named (ns ^ "." ^ f)) b)
+    (B.class_ ~ns:[ ns ] ~assembly:ns "P") fields
+  |> B.build |> Td.of_class
+
+type dep_op =
+  | Check of int * int
+  | Set of int * int  (* dependency name, version (0 = absent) *)
+  | Announce of int * bool  (* dependency name, with its witness *)
+
+let gen_dep_ops =
+  QCheck.Gen.(
+    list_size (int_range 5 60)
+      (frequency
+         [
+           (4, map2 (fun a b -> Check (a, b)) (int_bound 3) (int_bound 3));
+           (2, map2 (fun n v -> Set (n, v)) (int_bound 3) (int_bound 2));
+           (3, map2 (fun n w -> Announce (n, w)) (int_bound 3) bool);
+         ]))
+
+let print_dep_op = function
+  | Check (a, b) -> Printf.sprintf "check s.P%d <= r.P%d" a b
+  | Set (n, v) -> Printf.sprintf "set %s v%d" dep_names.(n) v
+  | Announce (n, w) -> Printf.sprintf "announce %s%s" dep_names.(n) (if w then " +witness" else "")
+
+let prop_dep_index_matches_scan =
+  QCheck.Test.make ~name:"note_new_type drops what the flat scan drops"
+    ~count:300
+    (QCheck.make ~print:QCheck.Print.(list print_dep_op) gen_dep_ops)
+    (fun ops ->
+      let state = Array.make (Array.length dep_names) 1 in
+      let versions =
+        Array.map (fun n -> [| None; Some (dep_version n 1); Some (dep_version n 2) |]) dep_names
+      in
+      let current name =
+        let rec find i =
+          if i >= Array.length dep_names then None
+          else if Pti_util.Strutil.equal_ci dep_names.(i) name then
+            versions.(i).(state.(i))
+          else find (i + 1)
+        in
+        find 0
+      in
+      (* Capacity 3 against 16 pairs: evictions are frequent. *)
+      let checker = Checker.create ~cache_capacity:3 ~resolver:current () in
+      let keys () = List.sort compare (List.map fst (Checker.dependencies checker)) in
+      List.for_all
+        (function
+          | Check (a, b) ->
+              ignore
+                (Checker.check checker ~actual:(pair_class "s" a)
+                   ~interest:(pair_class "r" b));
+              true
+          | Set (n, v) ->
+              state.(n) <- v;
+              true
+          | Announce (n, with_witness) ->
+              let name = dep_names.(n) in
+              let witness =
+                match versions.(n).(state.(n)) with
+                | Some d when with_witness -> Some d.Td.ty_guid
+                | _ -> None
+              in
+              let before = keys () in
+              let doomed =
+                reference_doomed (Checker.dependencies checker) ?witness name
+              in
+              let invalidated = (Checker.stats checker).Checker.invalidated in
+              let n = Checker.note_new_type ?witness checker name in
+              n = List.length doomed
+              && (Checker.stats checker).Checker.invalidated = invalidated + n
+              && keys () = List.filter (fun k -> not (List.mem k doomed)) before)
+        ops)
+
+(* An announcement costs the announced name's rows, not the cache: with
+   50 or 500 verdicts cached that depend on other names, announcing a
+   name nothing depends on allocates the same few words (the lowercased
+   name, and the witness's [Some]). The flat scan allocated a substring
+   per cached dependency. *)
+let test_note_new_type_allocation () =
+  let words n =
+    let checker = Checker.create ~cache_capacity:1024 ~resolver:(fun _ -> None) () in
+    let interest =
+      B.class_ ~ns:[ "r" ] ~assembly:"r" "Q"
+      |> B.field "f" (Ty.Named "r.T") |> B.build |> Td.of_class
+    in
+    for i = 1 to n do
+      let ns = Printf.sprintf "s%d" i in
+      let actual =
+        B.class_ ~ns:[ ns ] ~assembly:ns "Q"
+        |> B.field "f" (Ty.Named (ns ^ ".T")) |> B.build |> Td.of_class
+      in
+      ignore (Checker.check checker ~actual ~interest)
+    done;
+    Alcotest.(check int) "verdicts cached" n
+      (List.length (Checker.dependencies checker));
+    let witness = interest.Td.ty_guid in
+    ( Alloc.words_per_call (fun () -> Checker.note_new_type checker "x.Unrelated"),
+      Alloc.words_per_call (fun () ->
+          Checker.note_new_type ~witness checker "x.Unrelated") )
+  in
+  let small_plain, small_witness = words 50 in
+  let large_plain, large_witness = words 500 in
+  Alcotest.(check (float 0.)) "independent of N" small_plain large_plain;
+  Alcotest.(check (float 0.)) "independent of N, with witness" small_witness
+    large_witness;
+  if large_witness > 8. then
+    Alcotest.failf "note_new_type allocates %.1f words per call, ceiling 8"
+      large_witness
+
 let () =
   Alcotest.run "conformance"
     [
@@ -821,10 +988,13 @@ let () =
           QCheck_alcotest.to_alcotest prop_method_order_irrelevant;
           QCheck_alcotest.to_alcotest prop_equivalence_reflexive_on_population;
           QCheck_alcotest.to_alcotest prop_name_rule_matches_reference;
+          QCheck_alcotest.to_alcotest prop_dep_index_matches_scan;
         ] );
       ( "allocation",
         [
           Alcotest.test_case "cold path gates" `Quick
             test_cold_path_allocation;
+          Alcotest.test_case "note_new_type, many verdicts" `Quick
+            test_note_new_type_allocation;
         ] );
     ]

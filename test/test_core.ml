@@ -1003,6 +1003,47 @@ let test_duplicate_address_keeps_gauges () =
   Alcotest.(check int) "live peer cache" 1 (Peer.tdesc_cache_size a);
   Alcotest.(check int) "gauge still reads the live peer" 1 (size ())
 
+(* A loaded class is described once per shard. Repeated lookups return
+   the memoized description: the registry's [Some] is all they allocate
+   (they built a fresh description every time before). The memo answers
+   only for the definition it was built from, so an upgrade is never
+   served the old revision. *)
+let test_description_memo () =
+  let module W = Pti_demo.Workload in
+  let module Td = Pti_typedesc.Type_description in
+  let transport = make_transport () in
+  let p = Peer.create ~transport "p" in
+  Peer.publish_assembly p (Demo.news_assembly ());
+  let d1 = Option.get (Peer.local_description p Demo.news_person) in
+  Alcotest.(check bool) "memoized" true
+    (Option.get (Peer.local_description p Demo.news_person) == d1);
+  Alcotest.(check bool) "case-insensitive name" true
+    (Option.get
+       (Peer.local_description p (String.uppercase_ascii Demo.news_person))
+    == d1);
+  Alloc.check_ceiling "Peer.local_description, loaded class" ~ceiling:2.
+    (fun () -> Peer.local_description p Demo.news_person);
+  let person = W.person_name ~index:0 ~flavor:W.Conformant in
+  let fam v = W.family_v ~version:v ~index:0 ~flavor:W.Conformant in
+  let describe v =
+    let cd =
+      List.find
+        (fun cd -> Pti_util.Strutil.equal_ci (Meta.qualified_name cd) person)
+        (fam v).Assembly.asm_classes
+    in
+    Td.of_class cd
+  in
+  let ok = function Ok x -> x | Error _ -> Alcotest.fail "publish failed" in
+  let ve1 = ok (Peer.publish_assembly_cas p (fam 1)) in
+  Alcotest.(check bool) "v1 described" true
+    (Peer.local_description p person = Some (describe 1));
+  ignore
+    (ok
+       (Peer.publish_assembly_cas ~expect:ve1.Pti_core.Repository.ve_digest p
+          (fam 2)));
+  Alcotest.(check bool) "upgrade described anew" true
+    (Peer.local_description p person = Some (describe 2))
+
 let () =
   Alcotest.run "core-protocol"
     [
@@ -1099,4 +1140,6 @@ let () =
           Alcotest.test_case "eager rejection still pays" `Quick
             test_eager_mode_rejection_still_pays;
         ] );
+      ( "descriptions",
+        [ Alcotest.test_case "described once per shard" `Quick test_description_memo ] );
     ]

@@ -438,6 +438,49 @@ let test_assembly_size_dwarfs_tdesc () =
   Alcotest.(check bool) "asm >> tdesc" true
     (asm_wire > 2 * Pti_typedesc.Type_description.size_bytes d)
 
+(* [Ty.of_sub] reads a reference in place; it must parse exactly what
+   the copying parser did: trim, peel "[]" suffixes, match keywords
+   case-insensitively, keep any other name (trimmed) as [Named]. *)
+let rec copying_of_string s =
+  let s = String.trim s in
+  let n = String.length s in
+  if n = 0 then None
+  else if n >= 2 && String.sub s (n - 2) 2 = "[]" then
+    Option.map (fun e -> Ty.Array e) (copying_of_string (String.sub s 0 (n - 2)))
+  else
+    match String.lowercase_ascii s with
+    | "void" -> Some Ty.Void
+    | "bool" | "boolean" -> Some Ty.Bool
+    | "int" | "int32" | "int64" -> Some Ty.Int
+    | "float" | "double" -> Some Ty.Float
+    | "string" -> Some Ty.String
+    | "char" -> Some Ty.Char
+    | _ -> Some (Ty.Named s)
+
+let prop_ty_of_sub =
+  QCheck.Test.make ~name:"Ty.of_sub = the copying parser on the slice"
+    ~count:1000
+    QCheck.(
+      triple
+        (string_gen_of_size Gen.(int_bound 14)
+           (Gen.oneofl [ ' '; '\t'; '['; ']'; 'i'; 'N'; 't'; 'V'; 'o'; 'd'; 'x'; '.' ]))
+        small_nat small_nat)
+    (fun (s, a, b) ->
+      let n = String.length s in
+      let pos = min a n in
+      let len = min b (n - pos) in
+      let slice = String.sub s pos len in
+      let structurally = function
+        | Some t -> Some (Ty.to_string t)
+        | None -> None
+      in
+      Ty.of_sub s pos len = copying_of_string slice
+      && structurally (Ty.of_string slice)
+         = structurally (copying_of_string slice)
+      && List.for_all
+           (fun k -> Ty.of_string k = copying_of_string k)
+           [ "Int32"; " boolean[] "; "DOUBLE"; "a.B[][]"; "[]"; "void []" ])
+
 let () =
   Alcotest.run "cts"
     [
@@ -447,6 +490,7 @@ let () =
           Alcotest.test_case "named ci equality" `Quick
             test_ty_case_insensitive_named;
           Alcotest.test_case "malformed" `Quick test_ty_of_string_empty;
+          QCheck_alcotest.to_alcotest prop_ty_of_sub;
         ] );
       ( "meta",
         [

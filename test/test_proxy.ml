@@ -241,13 +241,20 @@ let test_proxy_overhead_exists_but_small () =
   let p = social_as_news "T" 1 in
   let time f =
     let t0 = Sys.time () in
-    for _ = 1 to 20_000 do
+    for _ = 1 to 50_000 do
       ignore (f ())
     done;
     Sys.time () -. t0
   in
-  let td = time (fun () -> Eval.call registry direct "getname" []) in
-  let tp = time (fun () -> Eval.call registry p "getName" []) in
+  (* The best of seven interleaved rounds: the proxy's margin over a
+     direct call is a few tens of percent, well inside one round's
+     scheduling noise on a shared host. *)
+  let best = Array.make 2 infinity in
+  for _ = 1 to 7 do
+    best.(0) <- Float.min best.(0) (time (fun () -> Eval.call registry direct "getname" []));
+    best.(1) <- Float.min best.(1) (time (fun () -> Eval.call registry p "getName" []))
+  done;
+  let td = best.(0) and tp = best.(1) in
   Alcotest.(check bool) "proxy slower than direct" true (tp > td);
   Alcotest.(check bool) "but not absurdly slower" true (tp < td *. 1000.)
 

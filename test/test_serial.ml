@@ -247,7 +247,7 @@ let test_expr_xml_roundtrip () =
   in
   List.iter
     (fun e ->
-      match Axml.expr_of_xml (Axml.expr_to_xml e) with
+      match Tree_decode.expr_of_xml (Axml.expr_to_xml e) with
       | Ok e' ->
           Alcotest.(check string) "expr roundtrip" (E.to_string e)
             (E.to_string e')
@@ -923,6 +923,28 @@ let test_wire_alloc () =
   Alloc.check_ceiling "Envelope.of_string_h, warm link" ~ceiling:314. (fun () ->
       Env.of_string_h ~resolve warm)
 
+(* The cold path's decoders on the family documents pinned above. Both
+   read straight from bytes with a streamed digest check; through a
+   parsed tree they cost 3 716 and 9 748 words per call. Ceilings: the
+   words per call when the tree left the path (453 and 1 445), plus
+   10 % headroom. *)
+let test_cold_decoder_alloc () =
+  let module W = Pti_demo.Workload in
+  let module Td = Pti_typedesc.Type_description in
+  let asm = W.family ~index:1 ~flavor:W.Conformant in
+  let person = W.person_name ~index:1 ~flavor:W.Conformant in
+  let cd =
+    List.find
+      (fun cd -> String.equal (Meta.qualified_name cd) person)
+      asm.Assembly.asm_classes
+  in
+  let tdesc = Td.to_xml_string (Td.of_class cd) in
+  let asm_xml = Axml.to_string asm in
+  Alloc.check_ceiling "Td.of_xml_string, family 1" ~ceiling:498. (fun () ->
+      Td.of_xml_string tdesc);
+  Alloc.check_ceiling "Assembly_xml.of_string, family 1" ~ceiling:1590.
+    (fun () -> Axml.of_string asm_xml)
+
 (* ----------------------------- framing ----------------------------- *)
 
 module Framing = Pti_serial.Framing
@@ -1103,6 +1125,8 @@ let () =
           Alcotest.test_case "family tdesc and assembly XML" `Quick
             test_wire_golden_family_xml;
           Alcotest.test_case "allocation gate" `Quick test_wire_alloc;
+          Alcotest.test_case "cold decoders allocation gate" `Quick
+            test_cold_decoder_alloc;
         ] );
       ( "framing",
         [

@@ -391,6 +391,20 @@ let test_splitmix_shuffle_permutes () =
   Array.sort compare sorted;
   Alcotest.(check (array int)) "same multiset" (Array.init 50 (fun i -> i)) sorted
 
+(* Case-insensitive equality in place agrees with comparing lowercase
+   copies, and the matching hash keys a table by it. *)
+let prop_ci_equality_and_hash =
+  QCheck.Test.make ~name:"equal_ci and hash_ci" ~count:500
+    QCheck.(
+      pair
+        (string_gen_of_size Gen.(int_bound 6) (Gen.oneofl [ 'a'; 'A'; 'b'; 'B'; '.'; '1' ]))
+        (string_gen_of_size Gen.(int_bound 6) (Gen.oneofl [ 'a'; 'A'; 'b'; 'B'; '.'; '1' ])))
+    (fun (a, b) ->
+      let module S = Pti_util.Strutil in
+      S.equal_ci a b = String.equal (String.lowercase_ascii a) (String.lowercase_ascii b)
+      && ((not (S.equal_ci a b)) || S.hash_ci a = S.hash_ci b)
+      && S.hash_ci a >= 0)
+
 let () =
   Alcotest.run "util"
     [
@@ -442,7 +456,11 @@ let () =
           QCheck_alcotest.to_alcotest prop_pqueue_sorts;
           QCheck_alcotest.to_alcotest prop_pqueue_sorts_floats;
         ] );
-      ("strutil", [ Alcotest.test_case "helpers" `Quick test_strutil ]);
+      ( "strutil",
+        [
+          Alcotest.test_case "helpers" `Quick test_strutil;
+          QCheck_alcotest.to_alcotest prop_ci_equality_and_hash;
+        ] );
       ( "splitmix",
         [
           Alcotest.test_case "deterministic" `Quick test_splitmix_deterministic;

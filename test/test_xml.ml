@@ -70,6 +70,114 @@ let test_duplicate_attributes_rejected () =
   | Ok _ -> ()
   | Error e -> Alcotest.failf "distinct names rejected: %a" Xml.pp_error e
 
+(* XML 1.0 [66]: a character reference is [&#[0-9]+;] or
+   [&#x[0-9a-fA-F]+;], and [2]: it must name a legal Char. The reader
+   used to hand the digits to [int_of_string], which also took OCaml's
+   own literal syntax and any code point. *)
+let test_char_references () =
+  List.iter
+    (fun s ->
+      match Xml.parse s with
+      | Error _ -> ()
+      | Ok x ->
+          Alcotest.failf "should not parse: %s (decoded %S)" s
+            (Xml.text_content x))
+    [
+      "<a>&#0x41;</a>"; "<a>&#+65;</a>"; "<a>&#0b1000001;</a>";
+      "<a>&#0o101;</a>"; "<a>&#1_0_0;</a>"; "<a>&#0;</a>";
+      "<a>&#xD800;</a>"; "<a>&#xFFFE;</a>"; "<a>&#X41;</a>"; "<a>&#-1;</a>";
+      "<a>&#x110000;</a>"; "<a>&#99999999999999999999999;</a>";
+      "<a>&#x 41;</a>"; "<a k=\"&#0x41;\"/>"; "<a k=\"&#1;\"/>";
+    ];
+  List.iter
+    (fun (s, expected) ->
+      match Xml.parse s with
+      | Ok x -> Alcotest.(check string) s expected (Xml.text_content x)
+      | Error e -> Alcotest.failf "%s: %a" s Xml.pp_error e)
+    [
+      ("<a>&#65;&#x42;</a>", "AB");
+      ("<a>&#0065;&#x0043;&#x4a;</a>", "ACJ");
+      ("<a>&#9;&#xA;&#13;</a>", "\t\n\r");
+      ("<a>&#xE9;&#xD7FF;&#xE000;&#xFFFD;</a>",
+       "\xc3\xa9\xed\x9f\xbf\xee\x80\x80\xef\xbf\xbd");
+      ("<a>&#x10000;&#x10FFFF;</a>", "\xf0\x90\x80\x80\xf4\x8f\xbf\xbf");
+    ]
+
+(* Messages and byte positions of syntax errors, as the recursive-descent
+   parser reported them before the grammar moved into the pull reader. *)
+let test_error_positions () =
+  List.iter
+    (fun (s, expected) ->
+      let got =
+        match Xml.parse s with
+        | Ok _ -> None
+        | Error e -> Some (e.Xml.position, e.Xml.message)
+      in
+      Alcotest.(check (option (pair int string))) s expected got)
+    [
+      ("", Some (0, "empty document"));
+      ("   ", Some (3, "empty document"));
+      ("text only", Some (0, "expected \"<\""));
+      ("<", Some (1, "expected a name"));
+      ("<a", Some (2, "expected \">\""));
+      ("<a>", Some (3, "unterminated element"));
+      ("<a></b>", Some (6, "mismatched closing tag </b> for <a>"));
+      ("<a attr></a>", Some (7, "expected \"=\""));
+      ("<a x=1/>", Some (5, "expected quoted value"));
+      ("<a x=\"1/>", Some (9, "unterminated attribute value"));
+      ("<a x=\"&amp/>\"/>", Some (15, "unterminated entity reference"));
+      ("<a/><b/>", Some (4, "trailing content after root"));
+      ("<a>&unknown;</a>", Some (12, "unknown entity &unknown;"));
+      ("<a>&#;</a>", Some (6, "unknown entity &#;"));
+      ("<a><![CDATA[open</a>", Some (20, "expected \"]]>\""));
+      ("<a><!-- open</a>", Some (16, "expected \"-->\""));
+      ("<a><?pi</a>", Some (11, "expected \"?>\""));
+      ("<?xml", Some (5, "expected \"?>\""));
+      ("<!-- c", Some (6, "expected \"-->\""));
+      ("<a></a >x", Some (8, "trailing content after root"));
+      ("<a></ab>", Some (7, "mismatched closing tag </ab> for <a>"));
+      ("<a></>", Some (5, "expected a name"));
+      ("<a k=\"1\" k=\"2\"/>", Some (9, "duplicate attribute \"k\""));
+      ("<a><b></a></b>", Some (9, "mismatched closing tag </a> for <b>"));
+      ("<a>&#x;</a>", Some (7, "bad character reference"));
+      ("<a>&#1114112;</a>", Some (13, "character out of range"));
+      ("<a b='&lt;' c=\"&gt\"/>", Some (21, "unterminated entity reference"));
+      ("<1a/>", Some (1, "expected a name"));
+      ("<a/><!-- trailing", Some (17, "expected \"-->\""));
+      ("<a/>  <?pi?>", Some (6, "trailing content after root"));
+      ("<?xml version=\"1.0\"?><!DOCTYPE a><!-- c --><a/><!-- t -->", None);
+    ]
+
+(* The token stream: a self-closing tag still yields its End, character
+   data arrives as its own tokens, the prolog and PIs are skipped. *)
+let test_reader_tokens () =
+  let r =
+    Xml.Reader.create
+      "<?xml version=\"1.0\"?><a x=\"1&amp;2\"><b/>t&lt;<!--c--><?p?><![CDATA[d]]></a>"
+  in
+  let seen = ref [] in
+  let rec go () =
+    let tok = Xml.Reader.next r in
+    let s =
+      match tok with
+      | Xml.Reader.Start ->
+          let i = Xml.Reader.attr r "x" in
+          Printf.sprintf "<%s%s>" (Xml.Reader.name r)
+            (if i < 0 then "" else " x=" ^ Xml.Reader.value r i)
+      | Xml.Reader.End -> Printf.sprintf "</%s>" (Xml.Reader.name r)
+      | Xml.Reader.Text -> "T:" ^ Xml.Reader.text r
+      | Xml.Reader.Cdata -> "D:" ^ Xml.Reader.text r
+      | Xml.Reader.Comment -> "C:" ^ Xml.Reader.text r
+      | Xml.Reader.Eof -> "eof"
+    in
+    seen := s :: !seen;
+    if tok <> Xml.Reader.Eof then go ()
+  in
+  go ();
+  Alcotest.(check (list string)) "tokens"
+    [ "<a x=1&2>"; "<b>"; "</b>"; "T:t<"; "C:c"; "D:d"; "</a>"; "eof" ]
+    (List.rev !seen)
+
 let test_path_and_childs () =
   let x = Xml.parse_exn "<a><b><c k=\"v\"/></b><b/><d/></a>" in
   (match Xml.path [ "b"; "c" ] x with
@@ -268,6 +376,80 @@ let prop_streamed_digest_matches_rendering =
       && Result.is_ok (Digest_attr.verify (with_digest expected))
       && Result.is_error (Digest_attr.verify (with_digest ("0" ^ expected))))
 
+(* The reader's streamed digest is the tree's: the hash of the compact
+   rendering of the parsed tree, its root digest stripped. The documents
+   are rendered compactly, and also with a digest added, moved behind
+   the other attributes, and corrupted. *)
+let streamed_digest ?(digest = Digest_attr.attr_name) s =
+  let r = Xml.Reader.create ~digest s in
+  Xml.Reader.drain r;
+  r
+
+(* Parseable documents repeat no attribute name within a tag. *)
+let rec unique_attrs = function
+  | Xml.Element (tag, attrs, cs) ->
+      let rec keep_first seen = function
+        | [] -> []
+        | (k, v) :: rest ->
+            if List.mem k seen then keep_first seen rest
+            else (k, v) :: keep_first (k :: seen) rest
+      in
+      Xml.Element (tag, keep_first [] attrs, List.map unique_attrs cs)
+  | other -> other
+
+let prop_reader_digest =
+  QCheck.Test.make ~name:"reader digest = Xml.hash of the stripped parse"
+    ~count:500
+    (QCheck.make ~print:(fun x -> Xml.to_string x)
+       (QCheck.Gen.map unique_attrs gen_digest_doc))
+    (fun x ->
+      let s = Xml.to_string x in
+      let parsed = Xml.parse_exn s in
+      let expected = Xml.hash (Digest_attr.strip parsed) in
+      let r = streamed_digest s in
+      (* Signed as parsed: an empty text node does not survive a
+         reparse, so a digest over [x] itself need not verify. *)
+      let signed = Digest_attr.add parsed in
+      let last_digest =
+        match signed with
+        | Xml.Element (tag, (k, v) :: attrs, cs) ->
+            Xml.Element (tag, attrs @ [ (k, v) ], cs)
+        | other -> other
+      in
+      let corrupt =
+        match signed with
+        | Xml.Element (tag, (k, v) :: attrs, cs) ->
+            Xml.Element (tag, (k, String.map (function '0' -> '1' | _ -> '0') v) :: attrs, cs)
+        | other -> other
+      in
+      let check_ok t =
+        Digest_attr.check (streamed_digest (Xml.to_string t)) = Ok ()
+      in
+      Int64.equal (Xml.Reader.digest r) expected
+      && Digest_attr.check r
+         = Result.map (fun _ -> ()) (Digest_attr.verify parsed)
+      && check_ok signed && check_ok last_digest
+      && Result.is_error
+           (Digest_attr.check (streamed_digest (Xml.to_string corrupt))))
+
+(* Canonical-form corner cases: what the tree would hash, written out. *)
+let test_reader_digest_cases () =
+  List.iter
+    (fun (doc, canonical) ->
+      Alcotest.(check string) doc
+        (Fnv.to_hex (Fnv.hash64 canonical))
+        (Fnv.to_hex (Xml.Reader.digest (streamed_digest doc))))
+    [
+      ("<a></a>", "<a/>");
+      ("<a><?pi x?></a>", "<a/>");
+      ("<!-- p --><a  k = 'v' digest=\"x\" ></a ><!-- t -->", "<a k=\"v\"/>");
+      ("<a k=\"&#x3c;&#34;'\">&#62;&quot;&apos;</a>",
+       "<a k=\"&lt;&quot;&apos;\">&gt;\"'</a>");
+      ("<a><![CDATA[<&>]]><!--<&>--></a>", "<a><![CDATA[<&>]]><!--<&>--></a>");
+      ("<a><b digest=\"1\"/></a>", "<a><b digest=\"1\"/></a>");
+      ("<a>&#xE9;</a>", "<a>\xc3\xa9</a>");
+    ]
+
 (* --------------------------- allocation ---------------------------- *)
 
 (* Ceilings on a fixed type-description document (newsw.Person, 1.8 KB),
@@ -311,10 +493,17 @@ let () =
           Alcotest.test_case "queries" `Quick test_path_and_childs;
           Alcotest.test_case "duplicate attributes" `Quick
             test_duplicate_attributes_rejected;
+          Alcotest.test_case "character references" `Quick
+            test_char_references;
+          Alcotest.test_case "error positions" `Quick test_error_positions;
+          Alcotest.test_case "reader tokens" `Quick test_reader_tokens;
         ] );
       ( "digest",
         [
           QCheck_alcotest.to_alcotest prop_streamed_digest_matches_rendering;
+          QCheck_alcotest.to_alcotest prop_reader_digest;
+          Alcotest.test_case "reader digest corner cases" `Quick
+            test_reader_digest_cases;
           Alcotest.test_case "allocation gate" `Quick test_reader_allocation;
         ] );
       ("properties", [ QCheck_alcotest.to_alcotest prop_print_parse_roundtrip ]);
