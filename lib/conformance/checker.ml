@@ -267,10 +267,18 @@ let names_conform t ~interest_name actual =
 (* Identity keys and resolution                                       *)
 (* ---------------------------------------------------------------- *)
 
-let id_of (d : Td.t) = Guid.to_string d.Td.ty_guid
-
+(* The cache key ["<actual guid><=<interest guid>|<config key>"], written
+   straight into one buffer: a cached check allocates only this string. *)
 let pair_key t (actual : Td.t) (interest : Td.t) =
-  String.concat "" [ id_of actual; "<="; id_of interest; "|"; t.cfg_key ]
+  let k = String.length t.cfg_key in
+  let b = Bytes.create (75 + k) in
+  Guid.blit actual.Td.ty_guid b 0;
+  Bytes.set b 36 '<';
+  Bytes.set b 37 '=';
+  Guid.blit interest.Td.ty_guid b 38;
+  Bytes.set b 74 '|';
+  Bytes.blit_string t.cfg_key 0 b 75 k;
+  Bytes.unsafe_to_string b
 
 let note_dep_key t key =
   match t.cur_deps with
@@ -344,7 +352,15 @@ let explicit_conforms_desc t (actual : Td.t) (interest : Td.t) =
 (* The core recursive check                                           *)
 (* ---------------------------------------------------------------- *)
 
-type assum = (string, unit) Hashtbl.t
+(* The pairs under test on the current path, innermost first. An
+   assumption lives exactly as long as the recursion below its pair, so
+   a list passed down the calls holds them; a check that never recurses
+   (a cache hit) allocates none. *)
+type assum = string list
+
+let rec assumed key = function
+  | [] -> false
+  | k :: rest -> String.equal k key || assumed key rest
 
 let ok = Ok ()
 
@@ -371,7 +387,7 @@ let rec conforms_desc t (assum : assum) depth (actual : Td.t)
          ~actual:(Td.qualified_name actual))
   else begin
     let key = pair_key t actual interest in
-    let fresh = Hashtbl.length assum = 0 in
+    let fresh = match assum with [] -> true | _ :: _ -> false in
     match Lru.Str.find t.cache key with
     | Some e ->
         if fresh then t.st.m_top_hits <- t.st.m_top_hits + 1
@@ -383,14 +399,13 @@ let rec conforms_desc t (assum : assum) depth (actual : Td.t)
         | Conformant m -> Ok m
         | Not_conformant fs -> Error fs)
     | None ->
-        if Hashtbl.mem assum key then
+        if assumed key assum then
           (* Co-inductive assumption: this pair is already under test. *)
           Ok
             (Mapping.identity_mapping
                ~interest:(Td.qualified_name interest)
                ~actual:(Td.qualified_name actual))
         else begin
-          Hashtbl.add assum key ();
           (* Track resolver traffic for the top-level pair so the cached
              verdict knows which type names it depends on. *)
           let saved_deps = t.cur_deps in
@@ -404,8 +419,9 @@ let rec conforms_desc t (assum : assum) depth (actual : Td.t)
                {!note_new_type}'s witnesses exist to prevent. *)
             t.cur_deps <- Some (Hashtbl.create 16)
           end;
-          let result = conforms_desc_uncached t assum depth actual interest in
-          Hashtbl.remove assum key;
+          let result =
+            conforms_desc_uncached t (key :: assum) depth actual interest
+          in
           (* Only cache results computed without outstanding assumptions:
              results under assumptions may depend on pairs still in flight. *)
           if fresh then begin
@@ -788,27 +804,22 @@ and ty_conforms t assum depth ~actual ~interest =
 
 let check t ~actual ~interest =
   t.st.m_checks <- t.st.m_checks + 1;
-  let assum : assum = Hashtbl.create 8 in
-  match conforms_desc t assum 0 actual interest with
+  match conforms_desc t [] 0 actual interest with
   | Ok m -> Conformant m
   | Error fs -> Not_conformant fs
 
 let conforms t ~actual ~interest = verdict_ok (check t ~actual ~interest)
 
 let check_ty t ~actual ~interest =
-  let assum : assum = Hashtbl.create 8 in
-  ty_conforms t assum 0 ~actual ~interest
+  ty_conforms t [] 0 ~actual ~interest
 
 let explicit_conforms t ~actual ~interest = explicit_conforms_desc t actual interest
 
 let viable_methods t ~actual ~interest =
-  let assum : assum = Hashtbl.create 8 in
-  viable_method_matches t assum 0 actual interest
+  viable_method_matches t [] 0 actual interest
 
 let viable_ctors t ~actual ~interest =
-  let assum : assum = Hashtbl.create 8 in
-  viable_ctor_matches t assum 0 actual interest
+  viable_ctor_matches t [] 0 actual interest
 
 let permutation t ~interest_params ~actual_params =
-  let assum : assum = Hashtbl.create 8 in
-  find_permutation t assum 0 ~interest_params ~actual_params
+  find_permutation t [] 0 ~interest_params ~actual_params

@@ -30,10 +30,14 @@ type t = {
 let identity_mapping ~interest ~actual =
   { interest; actual; identity = true; methods = []; ctors = [] }
 
-let find t ~name ~arity =
-  List.find_opt
-    (fun mm -> S.equal_ci mm.mm_interest_name name && mm.mm_arity = arity)
-    t.methods
+let rec find_in name arity = function
+  | [] -> None
+  | mm :: rest ->
+      if S.equal_ci mm.mm_interest_name name && mm.mm_arity = arity then
+        Some mm
+      else find_in name arity rest
+
+let find t ~name ~arity = find_in name arity t.methods
 
 let find_ctor t ~arity =
   List.find_opt (fun cm -> cm.cm_arity = arity) t.ctors
@@ -42,11 +46,14 @@ let permute args perm =
   let n = List.length args in
   if n <> Array.length perm then
     invalid_arg "Mapping.permute: arity mismatch";
-  let arr = Array.of_list args in
-  List.init n (fun j ->
-      let i = perm.(j) in
-      if i < 0 || i >= n then invalid_arg "Mapping.permute: bad index";
-      arr.(i))
+  if n = 0 then []
+  else begin
+    let arr = Array.of_list args in
+    List.init n (fun j ->
+        let i = perm.(j) in
+        if i < 0 || i >= n then invalid_arg "Mapping.permute: bad index";
+        arr.(i))
+  end
 
 let is_identity_perm perm =
   let ok = ref true in

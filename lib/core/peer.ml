@@ -283,7 +283,7 @@ let log_event t e =
     | Load_failed _ -> t.evt_ctrs.mc_load_failed
     | Corrupt_rejected _ -> t.evt_ctrs.mc_corrupt_rejects)
 
-let lc = String.lowercase_ascii
+let lc = S.lowercase
 
 (* Cache and dedup key of a chain-pinned entry: [name@vN], or the bare
    name for version 0 (unpinned). *)
@@ -389,11 +389,18 @@ let fresh_token t =
 
 let send t ~dst msg =
   Log.debug (fun m -> m "[%s] -> %s: %s" t.addr dst (Message.describe msg));
-  (* [Message.describe] includes subprotocol tokens, so concurrently
-     pending deliveries get distinguishable event labels — the model
-     checker's sleep sets identify events by label. *)
-  Transport.send (endpoint t) ~info:(Message.describe msg) ~dst
-    ~category:(Message.category msg) ~size:(Message.size msg) msg
+  let category = Message.category msg and size = Message.size msg in
+  match Transport.kind t.tr with
+  | Transport.Sim ->
+      (* The label names the simulator's delivery event. [Message.describe]
+         includes subprotocol tokens, so concurrently pending deliveries
+         get distinguishable labels — the model checker's sleep sets
+         identify events by label. *)
+      Transport.send (endpoint t) ~info:(Message.describe msg) ~dst ~category
+        ~size msg
+  | Transport.Unix_socket | Transport.Tcp ->
+      (* Stream backends label nothing: no label is built. *)
+      Transport.send (endpoint t) ~dst ~category ~size msg
 
 (* ---------------------------------------------------------------- *)
 (* Asynchronous fetch plumbing                                        *)

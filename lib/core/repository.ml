@@ -70,7 +70,7 @@ let parse_versioned_path p =
       let name, v = split_version assembly in
       Some (host, name, v)
 
-let chain_key name = String.lowercase_ascii name
+let chain_key name = Pti_util.Strutil.lowercase name
 let chain t name = Option.value ~default:[] (Hashtbl.find_opt t.chains (chain_key name))
 
 let chain_head t name =

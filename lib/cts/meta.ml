@@ -63,10 +63,28 @@ type class_def = {
   td_assembly : string;
 }
 
+(* Built in one allocation: the parts are blitted into a buffer of the
+   final length. *)
+let rec dotted_length = function
+  | [] -> 0
+  | part :: rest -> String.length part + 1 + dotted_length rest
+
+let rec blit_dotted b pos = function
+  | [] -> pos
+  | part :: rest ->
+      let n = String.length part in
+      Bytes.blit_string part 0 b pos n;
+      Bytes.set b (pos + n) '.';
+      blit_dotted b (pos + n + 1) rest
+
 let qualified_name cd =
   match cd.td_namespace with
   | [] -> cd.td_name
-  | ns -> String.concat "." ns ^ "." ^ cd.td_name
+  | ns ->
+      let n = String.length cd.td_name in
+      let b = Bytes.create (dotted_length ns + n) in
+      Bytes.blit_string cd.td_name 0 b (blit_dotted b 0 ns) n;
+      Bytes.unsafe_to_string b
 
 let arity m = List.length m.m_params
 

@@ -126,56 +126,79 @@ let is_subtype t ~sub ~super =
         in
         List.exists (fun n -> S.equal_ci n super) names
 
-let find_method t cd name arity =
-  let matches m =
-    S.equal_ci m.Meta.m_name name && Meta.arity m = arity
-  in
-  let rec go cd =
-    match List.find_opt matches cd.Meta.td_methods with
-    | Some m -> Some (cd, m)
-    | None -> (
-        match cd.Meta.td_super with
-        | None -> None
-        | Some s -> ( match find t s with None -> None | Some sc -> go sc))
-  in
-  go cd
+(* Member lookups walk the superclass chain by name. The helpers are
+   top-level and take every input as an argument, so a lookup allocates
+   no closure; a hit returns the suffix of the member list that starts
+   at the member found. A walk takes at most [cardinal t + 1] steps
+   upwards: past that it has revisited a class, and a super cycle would
+   otherwise never end. *)
+let rec own_field name = function
+  | [] -> []
+  | f :: _ as l when S.equal_ci f.Meta.f_name name -> l
+  | _ :: rest -> own_field name rest
 
-let find_field t cd name =
-  let matches f = S.equal_ci f.Meta.f_name name in
-  let rec go cd =
-    match List.find_opt matches cd.Meta.td_fields with
-    | Some f -> Some (cd, f)
-    | None -> (
-        match cd.Meta.td_super with
-        | None -> None
-        | Some s -> ( match find t s with None -> None | Some sc -> go sc))
-  in
-  go cd
+let rec own_method name arity = function
+  | [] -> []
+  | m :: _ as l when S.equal_ci m.Meta.m_name name && Meta.arity m = arity ->
+      l
+  | _ :: rest -> own_method name arity rest
 
+let super_of t cd =
+  match cd.Meta.td_super with None -> None | Some s -> find t s
+
+let rec walk_method t name arity cd fuel =
+  match own_method name arity cd.Meta.td_methods with
+  | m :: _ -> Some (cd, m)
+  | [] -> (
+      if fuel = 0 then None
+      else
+        match super_of t cd with
+        | None -> None
+        | Some sc -> walk_method t name arity sc (fuel - 1))
+
+let find_method t cd name arity = walk_method t name arity cd (cardinal t + 1)
+
+let rec walk_field t name cd fuel =
+  match own_field name cd.Meta.td_fields with
+  | f :: _ -> Some (cd, f)
+  | [] -> (
+      if fuel = 0 then None
+      else
+        match super_of t cd with
+        | None -> None
+        | Some sc -> walk_field t name sc (fuel - 1))
+
+let find_field t cd name = walk_field t name cd (cardinal t + 1)
+
+let mem_field t cd name =
+  match (own_field name cd.Meta.td_fields, cd.Meta.td_super) with
+  | _ :: _, _ -> true
+  | [], None -> false
+  | [], Some _ -> find_field t cd name <> None
+
+let rec has_dup_field = function
+  | [] -> false
+  | f :: rest -> own_field f.Meta.f_name rest <> [] || has_dup_field rest
+
+(* Base class first; a derived field replaces a base field of the same
+   name in place. *)
+let merge_fields acc c =
+  List.fold_left
+    (fun acc f ->
+      if own_field f.Meta.f_name acc <> [] then
+        List.map
+          (fun g -> if S.equal_ci g.Meta.f_name f.Meta.f_name then f else g)
+          acc
+      else acc @ [ f ])
+    acc c.Meta.td_fields
+
+(* A class without a superclass is its own layout, returned as it is.
+   Validation rejects a repeated field name; a class built without it
+   that repeats one is merged like a chain. *)
 let all_fields t cd =
-  let chain = List.rev (cd :: super_chain t cd) in
-  (* Base class first; a derived field shadows a base field of same name. *)
-  let seen = Hashtbl.create 8 in
-  let out = ref [] in
-  List.iter
-    (fun c ->
-      List.iter
-        (fun f ->
-          let k = String.lowercase_ascii f.Meta.f_name in
-          if Hashtbl.mem seen k then
-            (* Replace the shadowed entry in place. *)
-            out :=
-              List.map
-                (fun g ->
-                  if S.equal_ci g.Meta.f_name f.Meta.f_name then f else g)
-                !out
-          else begin
-            Hashtbl.add seen k ();
-            out := !out @ [ f ]
-          end)
-        c.Meta.td_fields)
-    chain;
-  !out
+  match cd.Meta.td_super with
+  | None when not (has_dup_field cd.Meta.td_fields) -> cd.Meta.td_fields
+  | _ -> List.fold_left merge_fields [] (List.rev (cd :: super_chain t cd))
 
 let missing_dependencies t cd =
   let wanted = Hashtbl.create 8 in

@@ -67,13 +67,24 @@ val is_subtype : t -> sub:string -> super:string -> bool
 val find_method : t -> Meta.class_def -> string -> int ->
   (Meta.class_def * Meta.method_def) option
 (** [find_method t cd name arity] resolves a method by case-insensitive name
-    and arity along the superclass chain (virtual dispatch resolution). *)
+    and arity along the superclass chain (virtual dispatch resolution).
+    The walk allocates nothing but its result, and ends on a super
+    cycle. *)
 
 val find_field : t -> Meta.class_def -> string ->
   (Meta.class_def * Meta.field_def) option
+(** The most-derived declaration of a field, by case-insensitive name,
+    along the superclass chain. Allocates nothing but its result (and the
+    lookup of each superclass); ends on a super cycle. *)
+
+val mem_field : t -> Meta.class_def -> string -> bool
+(** [find_field t cd name <> None], allocating nothing for a field the
+    class declares itself. *)
 
 val all_fields : t -> Meta.class_def -> Meta.field_def list
-(** Inherited then own fields, shadowed names keeping the most-derived. *)
+(** Inherited then own fields, shadowed names keeping the most-derived.
+    For a class without a superclass this is its own field list,
+    returned without allocating. *)
 
 val missing_dependencies : t -> Meta.class_def -> string list
 (** Qualified names referenced by the class (super, interfaces, field types,

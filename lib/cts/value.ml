@@ -49,10 +49,14 @@ let type_name = function
   | Varr a -> Ty.to_string (Ty.Array a.elem_ty)
   | Vproxy p -> Printf.sprintf "proxy<%s>" p.px_interface
 
-let get_field o name = Hashtbl.find_opt o.fields (String.lowercase_ascii name)
+(* Field keys are lowercase. A name that already is (the usual case:
+   a key read back from a table, or a lowercase declaration) is used as
+   it is instead of copied. *)
+let get_field o name =
+  Hashtbl.find_opt o.fields (Pti_util.Strutil.lowercase name)
 
 let set_field o name v =
-  Hashtbl.replace o.fields (String.lowercase_ascii name) v
+  Hashtbl.replace o.fields (Pti_util.Strutil.lowercase name) v
 
 let truthy = function
   | Vbool b -> b

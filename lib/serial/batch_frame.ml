@@ -26,21 +26,20 @@ type t = {
 let magic = "PTIF\x01"
 
 let encode t =
-  let w = W.create () in
-  W.varint w (List.length t.parts);
-  List.iter
-    (fun p ->
-      W.string w p.p_envelope;
-      Framing.write_string_list w p.p_tdescs;
-      Framing.write_string_list w p.p_assemblies)
-    t.parts;
-  W.varint w (List.length t.piggyback);
-  List.iter
-    (fun (kind, body) ->
-      W.string w kind;
-      W.string w body)
-    t.piggyback;
-  Bytes_io.seal ~magic w
+  Bytes_io.sealed ~magic (fun w ->
+      W.varint w (List.length t.parts);
+      List.iter
+        (fun p ->
+          W.string w p.p_envelope;
+          Framing.write_string_list w p.p_tdescs;
+          Framing.write_string_list w p.p_assemblies)
+        t.parts;
+      W.varint w (List.length t.piggyback);
+      List.iter
+        (fun (kind, body) ->
+          W.string w kind;
+          W.string w body)
+        t.piggyback)
 
 let checked_body s =
   match Bytes_io.unseal ~magic s with

@@ -32,158 +32,296 @@ and t_obj = 6
 and t_ref = 7
 and t_arr = 8
 
-type intern = {
-  w : W.t;
-  names : (string, int) Hashtbl.t;
-  mutable next_name : int;
-  seen : (int, int) Hashtbl.t;  (* oid -> wire id *)
-  mutable next_id : int;
+(* Per-call bookkeeping lives in per-domain spares, reused from call to
+   call: a codec call takes its domain's spare, and gives it back
+   emptied, so a steady stream of payloads allocates no tables. A
+   nested or concurrent call finds the spare taken and builds its own.
+   Tables that grew past [spare_limit] slots are dropped on the way
+   back, so one huge graph is not retained. *)
+let spare_limit = 4096
+
+let grown a n fill =
+  if n < Array.length a then a
+  else begin
+    let b = Array.make (max n (2 * Array.length a)) fill in
+    Array.blit a 0 b 0 (Array.length a);
+    b
+  end
+
+(* ------------------------------ encoder ----------------------------- *)
+
+type enc = {
+  mutable e_busy : bool;
+  mutable names : Slots.t;  (* name -> wire index *)
+  mutable name_tab : string array;  (* wire index -> name *)
+  mutable oids : Slots.t;  (* oid -> wire id *)
 }
 
-let intern_name st s =
-  match Hashtbl.find_opt st.names s with
-  | Some i -> W.varint st.w i
-  | None ->
-      let i = st.next_name in
-      st.next_name <- i + 1;
-      Hashtbl.add st.names s i;
-      W.varint st.w i;
-      (* First occurrence carries the text inline. *)
-      W.string st.w s
+let new_enc () =
+  {
+    e_busy = false;
+    names = Slots.create ();
+    name_tab = Array.make 16 "";
+    oids = Slots.create ();
+  }
+
+let enc_spare = Domain.DLS.new_key new_enc
+
+let take_enc () =
+  let e = Domain.DLS.get enc_spare in
+  if e.e_busy then new_enc ()
+  else begin
+    e.e_busy <- true;
+    e
+  end
+
+let release_enc e =
+  Array.fill e.name_tab 0 (Slots.length e.names) "";
+  Slots.clear e.names;
+  Slots.clear e.oids;
+  if Slots.capacity e.names > spare_limit then begin
+    e.names <- Slots.create ();
+    e.name_tab <- Array.make 16 ""
+  end;
+  if Slots.capacity e.oids > spare_limit then e.oids <- Slots.create ();
+  e.e_busy <- false
+
+let intern_name e w s =
+  let fresh = Slots.length e.names in
+  let i = Slots.intern e.names ~names:e.name_tab s fresh in
+  W.varint w i;
+  if i = fresh then begin
+    e.name_tab <- grown e.name_tab (i + 1) "";
+    e.name_tab.(i) <- s;
+    (* First occurrence carries the text inline. *)
+    W.string w s
+  end
+
+(* An object's bindings in name order, as [Hashtbl.fold] lists them
+   then sorted stably: a shadowed binding ([Hashtbl.add]) follows the one
+   that shadows it. Two arrays the size of the table, sorted in place by
+   insertion (objects have a handful of fields; the list sort past 16). *)
+let sorted_fields fields =
+  let n = Hashtbl.length fields in
+  let keys = Array.make n "" and vals = Array.make n Value.Vnull in
+  let pos = ref n in
+  Hashtbl.iter
+    (fun k v ->
+      decr pos;
+      keys.(!pos) <- k;
+      vals.(!pos) <- v)
+    fields;
+  if n <= 16 then
+    for i = 1 to n - 1 do
+      let k = keys.(i) and v = vals.(i) in
+      let j = ref (i - 1) in
+      while !j >= 0 && String.compare keys.(!j) k > 0 do
+        keys.(!j + 1) <- keys.(!j);
+        vals.(!j + 1) <- vals.(!j);
+        decr j
+      done;
+      keys.(!j + 1) <- k;
+      vals.(!j + 1) <- v
+    done
+  else
+    List.init n (fun i -> (keys.(i), vals.(i)))
+    |> List.stable_sort (fun (a, _) (b, _) -> String.compare a b)
+    |> List.iteri (fun i (k, v) ->
+           keys.(i) <- k;
+           vals.(i) <- v);
+  (keys, vals)
 
 let rec strip = function Value.Vproxy p -> strip p.Value.px_target | v -> v
 
-let rec write st v =
+let rec write e w v =
   match strip v with
-  | Value.Vnull -> W.u8 st.w t_null
+  | Value.Vnull -> W.u8 w t_null
   | Value.Vbool b ->
-      W.u8 st.w t_bool;
-      W.bool st.w b
+      W.u8 w t_bool;
+      W.bool w b
   | Value.Vint i ->
-      W.u8 st.w t_int;
-      W.zigzag st.w i
+      W.u8 w t_int;
+      W.zigzag w i
   | Value.Vfloat f ->
-      W.u8 st.w t_float;
-      W.f64 st.w f
+      W.u8 w t_float;
+      W.f64 w f
   | Value.Vstring s ->
-      W.u8 st.w t_string;
-      W.string st.w s
+      W.u8 w t_string;
+      W.string w s
   | Value.Vchar c ->
-      W.u8 st.w t_char;
-      W.u8 st.w (Char.code c)
+      W.u8 w t_char;
+      W.u8 w (Char.code c)
   | Value.Varr a ->
-      W.u8 st.w t_arr;
-      W.string st.w (Ty.to_string a.Value.elem_ty);
-      W.varint st.w (Array.length a.Value.items);
-      Array.iter (write st) a.Value.items
-  | Value.Vobj o -> (
-      match Hashtbl.find_opt st.seen o.Value.oid with
-      | Some id ->
-          W.u8 st.w t_ref;
-          W.varint st.w id
-      | None ->
-          let id = st.next_id in
-          st.next_id <- id + 1;
-          Hashtbl.add st.seen o.Value.oid id;
-          W.u8 st.w t_obj;
-          W.varint st.w id;
-          intern_name st o.Value.cls;
-          let bindings =
-            Hashtbl.fold (fun k v acc -> (k, v) :: acc) o.Value.fields []
-            |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-          in
-          W.varint st.w (List.length bindings);
-          List.iter
-            (fun (k, v) ->
-              intern_name st k;
-              write st v)
-            bindings)
+      W.u8 w t_arr;
+      W.string w (Ty.to_string a.Value.elem_ty);
+      W.varint w (Array.length a.Value.items);
+      for i = 0 to Array.length a.Value.items - 1 do
+        write e w a.Value.items.(i)
+      done
+  | Value.Vobj o ->
+      let id = Slots.find e.oids o.Value.oid in
+      if id >= 0 then begin
+        W.u8 w t_ref;
+        W.varint w id
+      end
+      else begin
+        let id = Slots.length e.oids in
+        Slots.replace e.oids o.Value.oid id;
+        W.u8 w t_obj;
+        W.varint w id;
+        intern_name e w o.Value.cls;
+        let keys, vals = sorted_fields o.Value.fields in
+        W.varint w (Array.length keys);
+        for i = 0 to Array.length keys - 1 do
+          intern_name e w keys.(i);
+          write e w vals.(i)
+        done
+      end
   | Value.Vproxy _ -> assert false
 
 let encode v =
-  let st =
-    {
-      w = W.create ();
-      names = Hashtbl.create 16;
-      next_name = 0;
-      seen = Hashtbl.create 16;
-      next_id = 0;
-    }
-  in
-  write st v;
-  Bytes_io.seal ~magic st.w
+  let e = take_enc () in
+  match Bytes_io.sealed ~magic (fun w -> write e w v) with
+  | frame ->
+      release_enc e;
+      frame
+  | exception ex ->
+      release_enc e;
+      raise ex
 
-type outern = {
-  r : R.t;
-  rev_names : (int, string) Hashtbl.t;
-  objects : (int, Value.obj) Hashtbl.t;
+(* ------------------------------ decoder ----------------------------- *)
+
+type dec = {
+  mutable d_busy : bool;
+  mutable rev_names : Slots.t;  (* wire index -> position in [strs] *)
+  mutable strs : string array;
+  mutable objects : Slots.t;  (* wire id -> position in [objs] *)
+  mutable objs : Value.obj array;
+  mutable n_objs : int;
 }
 
-let read_name st =
-  let i = R.varint st.r in
-  match Hashtbl.find_opt st.rev_names i with
-  | Some s -> s
-  | None ->
-      let s = R.string st.r in
-      Hashtbl.add st.rev_names i s;
-      s
+(* Filler for emptied object slots; never handed out. *)
+let no_obj = { Value.oid = 0; cls = ""; fields = Hashtbl.create 1 }
+
+let new_dec () =
+  {
+    d_busy = false;
+    rev_names = Slots.create ();
+    strs = Array.make 16 "";
+    objects = Slots.create ();
+    objs = Array.make 16 no_obj;
+    n_objs = 0;
+  }
+
+let dec_spare = Domain.DLS.new_key new_dec
+
+let take_dec () =
+  let d = Domain.DLS.get dec_spare in
+  if d.d_busy then new_dec ()
+  else begin
+    d.d_busy <- true;
+    d
+  end
+
+let release_dec d =
+  Array.fill d.strs 0 (Slots.length d.rev_names) "";
+  Array.fill d.objs 0 d.n_objs no_obj;
+  Slots.clear d.rev_names;
+  Slots.clear d.objects;
+  d.n_objs <- 0;
+  if Slots.capacity d.rev_names > spare_limit then begin
+    d.rev_names <- Slots.create ();
+    d.strs <- Array.make 16 ""
+  end;
+  if Slots.capacity d.objects > spare_limit then begin
+    d.objects <- Slots.create ();
+    d.objs <- Array.make 16 no_obj
+  end;
+  d.d_busy <- false
+
+let read_name d r =
+  let i = R.varint r in
+  let p = Slots.find d.rev_names i in
+  if p >= 0 then d.strs.(p)
+  else begin
+    let s = R.string r in
+    let p = Slots.length d.rev_names in
+    d.strs <- grown d.strs (p + 1) "";
+    d.strs.(p) <- s;
+    Slots.replace d.rev_names i p;
+    s
+  end
+
+(* A later object under the same wire id shadows the earlier one. *)
+let bind_object d id o =
+  let p = d.n_objs in
+  d.objs <- grown d.objs (p + 1) no_obj;
+  d.objs.(p) <- o;
+  d.n_objs <- p + 1;
+  Slots.replace d.objects id p
 
 exception Unknown of string
 
-let rec read ?resolve reg st =
-  let resolve =
-    match resolve with Some f -> f | None -> Registry.find reg
-  in
-  let tag = R.u8 st.r in
+let rec install_defaults o = function
+  | [] -> ()
+  | f :: rest ->
+      Value.set_field o f.Meta.f_name (Value.default_of f.Meta.f_ty);
+      install_defaults o rest
+
+let rec read resolve reg d r =
+  let tag = R.u8 r in
   if tag = t_null then Value.Vnull
-  else if tag = t_bool then Value.Vbool (R.bool st.r)
-  else if tag = t_int then Value.Vint (R.zigzag st.r)
-  else if tag = t_float then Value.Vfloat (R.f64 st.r)
-  else if tag = t_string then Value.Vstring (R.string st.r)
-  else if tag = t_char then Value.Vchar (Char.chr (R.u8 st.r land 0xff))
+  else if tag = t_bool then Value.Vbool (R.bool r)
+  else if tag = t_int then Value.Vint (R.zigzag r)
+  else if tag = t_float then Value.Vfloat (R.f64 r)
+  else if tag = t_string then Value.Vstring (R.string r)
+  else if tag = t_char then Value.Vchar (Char.chr (R.u8 r land 0xff))
   else if tag = t_arr then begin
-    let ty_s = R.string st.r in
+    let ty_s = R.string r in
     let elem_ty =
       match Ty.of_string ty_s with
       | Some ty -> ty
       | None -> raise (R.Underflow (Printf.sprintf "bad type %S" ty_s))
     in
-    let n = R.varint st.r in
+    let n = R.varint r in
     if n < 0 || n > 10_000_000 then raise (R.Underflow "absurd array length");
-    let items = Array.init n (fun _ -> read ~resolve reg st) in
+    (* Every element takes at least its tag byte: a count past the bytes
+       left is a lie, caught before the array is allocated. *)
+    if n > R.remaining r then raise (R.Underflow "array length past end");
+    let items = Array.make n Value.Vnull in
+    for i = 0 to n - 1 do
+      items.(i) <- read resolve reg d r
+    done;
     Value.Varr { Value.elem_ty; items }
   end
   else if tag = t_ref then begin
-    let id = R.varint st.r in
-    match Hashtbl.find_opt st.objects id with
-    | Some o -> Value.Vobj o
-    | None -> raise (R.Underflow (Printf.sprintf "dangling object ref %d" id))
+    let id = R.varint r in
+    let p = Slots.find d.objects id in
+    if p >= 0 then Value.Vobj d.objs.(p)
+    else raise (R.Underflow (Printf.sprintf "dangling object ref %d" id))
   end
   else if tag = t_obj then begin
-    let id = R.varint st.r in
-    let cls = read_name st in
+    let id = R.varint r in
+    let cls = read_name d r in
     let cd =
-      match resolve cls with
-      | Some cd -> cd
-      | None -> raise (Unknown cls)
+      match resolve cls with Some cd -> cd | None -> raise (Unknown cls)
     in
     let o =
-      { Value.oid = Value.fresh_oid (); cls = Meta.qualified_name cd;
-        fields = Hashtbl.create 8 }
+      {
+        Value.oid = Value.fresh_oid ();
+        cls = Meta.qualified_name cd;
+        fields = Hashtbl.create 8;
+      }
     in
     (* Install declared defaults first so missing payload fields are sane. *)
-    List.iter
-      (fun f ->
-        Value.set_field o f.Meta.f_name (Value.default_of f.Meta.f_ty))
-      (Registry.all_fields reg cd);
-    Hashtbl.add st.objects id o;
-    let n = R.varint st.r in
+    install_defaults o (Registry.all_fields reg cd);
+    bind_object d id o;
+    let n = R.varint r in
     for _ = 1 to n do
-      let fname = read_name st in
-      let v = read ~resolve reg st in
+      let fname = read_name d r in
+      let v = read resolve reg d r in
       (* Drop fields the loaded class does not declare. *)
-      if Registry.find_field reg cd fname <> None then
-        Value.set_field o fname v
+      if Registry.mem_field reg cd fname then Value.set_field o fname v
     done;
     Value.Vobj o
   end
@@ -193,45 +331,49 @@ let decode ?resolve reg s =
   match checked_body s with
   | Error e -> Error e
   | Ok r -> (
-      let st =
-        { r; rev_names = Hashtbl.create 16; objects = Hashtbl.create 16 }
+      let resolve =
+        match resolve with Some f -> f | None -> Registry.find reg
       in
-      try
-        let v = read ?resolve reg st in
-        if not (R.at_end st.r) then Error (Malformed "trailing bytes")
-        else Ok v
-      with
-      | R.Underflow m -> Error (Malformed m)
-      | Unknown cls -> Error (Unknown_type cls))
+      let d = take_dec () in
+      let result =
+        match read resolve reg d r with
+        | v -> if R.at_end r then Ok v else Error (Malformed "trailing bytes")
+        | exception R.Underflow m -> Error (Malformed m)
+        | exception Unknown cls -> Error (Unknown_type cls)
+        | exception e ->
+            release_dec d;
+            raise e
+      in
+      release_dec d;
+      result)
 
 (* Walk the payload structure without materializing values. *)
-let class_names_body r =
-  let st = { r; rev_names = Hashtbl.create 16; objects = Hashtbl.create 16 } in
+let class_names_body d r =
   let found = ref [] in
   let rec skip () =
-    let tag = R.u8 st.r in
+    let tag = R.u8 r in
     if tag = t_null then ()
-    else if tag = t_bool then ignore (R.bool st.r)
-    else if tag = t_int then ignore (R.zigzag st.r)
-    else if tag = t_float then ignore (R.f64 st.r)
-    else if tag = t_string then ignore (R.string st.r)
-    else if tag = t_char then ignore (R.u8 st.r)
+    else if tag = t_bool then ignore (R.bool r)
+    else if tag = t_int then ignore (R.zigzag r)
+    else if tag = t_float then ignore (R.f64 r)
+    else if tag = t_string then ignore (R.string r)
+    else if tag = t_char then ignore (R.u8 r)
     else if tag = t_arr then begin
-      ignore (R.string st.r);
-      let n = R.varint st.r in
+      ignore (R.string r);
+      let n = R.varint r in
       for _ = 1 to n do
         skip ()
       done
     end
-    else if tag = t_ref then ignore (R.varint st.r)
+    else if tag = t_ref then ignore (R.varint r)
     else if tag = t_obj then begin
-      ignore (R.varint st.r);
-      let cls = read_name st in
+      ignore (R.varint r);
+      let cls = read_name d r in
       if not (List.exists (String.equal cls) !found) then
         found := cls :: !found;
-      let n = R.varint st.r in
+      let n = R.varint r in
       for _ = 1 to n do
-        ignore (read_name st);
+        ignore (read_name d r);
         skip ()
       done
     end
@@ -245,4 +387,4 @@ let class_names_body r =
 let class_names s =
   match checked_body s with
   | Error e -> Error e
-  | Ok r -> class_names_body r
+  | Ok r -> class_names_body (new_dec ()) r

@@ -50,6 +50,7 @@ module Reader = struct
   let create src = { src; pos = 0; stop = String.length src }
   let pos t = t.pos
   let at_end t = t.pos >= t.stop
+  let remaining t = t.stop - t.pos
 
   let u8 t =
     if at_end t then raise (Underflow "u8 past end");
@@ -125,6 +126,41 @@ let seal ~magic w =
   in
   Bytes.set_int64_be frame m sum;
   Bytes.unsafe_to_string frame
+
+(* One spare writer per domain. [sealed] takes it, and puts it back
+   once the frame is built; a nested or concurrent caller finds it taken
+   and uses a fresh one. A writer that grew past [spare_limit] is
+   shrunk before it goes back, so one huge frame is not retained. *)
+let spare_limit = 65536
+
+type spare = { sw : Writer.t; mutable busy : bool }
+
+let spare =
+  Domain.DLS.new_key (fun () -> { sw = Writer.create (); busy = false })
+
+let release sp =
+  if Buffer.length sp.sw > spare_limit then Buffer.reset sp.sw;
+  sp.busy <- false
+
+let sealed ~magic f =
+  let sp = Domain.DLS.get spare in
+  if sp.busy then begin
+    let w = Writer.create () in
+    f w;
+    seal ~magic w
+  end
+  else begin
+    sp.busy <- true;
+    Buffer.clear sp.sw;
+    match f sp.sw with
+    | () ->
+        let frame = seal ~magic sp.sw in
+        release sp;
+        frame
+    | exception e ->
+        release sp;
+        raise e
+  end
 
 type frame_error = Truncated | Bad_magic | Bad_checksum
 

@@ -40,6 +40,10 @@ module Reader : sig
   (** Offset of the next byte in the underlying string. *)
 
   val at_end : t -> bool
+
+  val remaining : t -> int
+  (** Bytes left before the end. *)
+
   val u8 : t -> int
   val varint : t -> int
   val zigzag : t -> int
@@ -68,6 +72,11 @@ val has_magic : magic:string -> string -> bool
 
 val seal : magic:string -> Writer.t -> string
 (** The frame around the writer's contents, built in one allocation. *)
+
+val sealed : magic:string -> (Writer.t -> unit) -> string
+(** [sealed ~magic f] is [seal ~magic w] for an empty writer [w] that
+    [f] fills. The writer is a per-domain spare, reused from frame to
+    frame, so building a frame allocates only the frame itself. *)
 
 type frame_error =
   | Truncated  (** Shorter than magic plus checksum. *)

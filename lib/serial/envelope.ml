@@ -41,56 +41,100 @@ let pp_error ppf = function
    differences between writer and reader. Every field is length-prefixed
    (netstring style: ["<len>:<bytes>"]): the binary payload is arbitrary
    bytes, so no in-band separator is safe — a 0x00/0x01 scheme let two
-   distinct envelopes share a digest. Fields are folded straight into
-   the FNV-1a state; the canonical byte string is never built. *)
-let field h s =
-  let h = Fnv.hash64 ~init:h (string_of_int (String.length s)) in
-  Fnv.hash64 ~init:(Fnv.hash64 ~init:h ":") s
+   distinct envelopes share a digest. The fields are fed into one
+   [Fnv.state]: decimal lengths digit by digit and GUIDs nibble by
+   nibble, so neither the canonical byte string nor any field rendering
+   is ever built. *)
+let feed_field st s =
+  Fnv.feed_decimal st (String.length s);
+  Fnv.feed_byte st (Char.code ':');
+  Fnv.feed st s 0 (String.length s)
 
-let fold_entry h e =
-  let h = field h e.te_name in
-  let h = field h (Guid.to_string e.te_guid) in
-  let h = field h e.te_assembly in
-  let h = field h e.te_download_path in
-  (* Versioned entries fold the version into the digest; version 0 stays
-     absent so pre-evolution envelopes keep their digests. *)
-  if e.te_version > 0 then field h ("v" ^ string_of_int e.te_version) else h
+let rec decimal_length n = if n < 10 then 1 else 1 + decimal_length (n / 10)
 
-let fold_payload h = function
-  | Psoap x -> field (field h "soap") (Xml.to_string x)
-  | Pbinary p -> field (field h "binary") p
+let feed_entry st e =
+  feed_field st e.te_name;
+  Fnv.feed_decimal st 36;
+  Fnv.feed_byte st (Char.code ':');
+  Guid.feed st e.te_guid;
+  feed_field st e.te_assembly;
+  feed_field st e.te_download_path;
+  (* Versioned entries fold the field ["v<version>"] into the digest;
+     version 0 stays absent so pre-evolution envelopes keep their
+     digests. *)
+  if e.te_version > 0 then begin
+    Fnv.feed_decimal st (1 + decimal_length e.te_version);
+    Fnv.feed_byte st (Char.code ':');
+    Fnv.feed_byte st (Char.code 'v');
+    Fnv.feed_decimal st e.te_version
+  end
+
+let rec feed_entries st = function
+  | [] -> ()
+  | e :: rest ->
+      feed_entry st e;
+      feed_entries st rest
 
 let digest64 t =
-  fold_payload (List.fold_left fold_entry Fnv.offset_basis t.env_types)
-    t.env_payload
+  let st = Fnv.start () in
+  feed_entries st t.env_types;
+  (match t.env_payload with
+  | Psoap x ->
+      feed_field st "soap";
+      feed_field st (Xml.to_string x)
+  | Pbinary p ->
+      feed_field st "binary";
+      feed_field st p);
+  Fnv.value st
 
 let digest t = Fnv.to_hex (digest64 t)
 
-(* Distinct class names reachable from a value, in first-visit order. *)
+(* Distinct class names reachable from a value, root first. Only the
+   root's place is fixed ([make] sorts the rest by qualified name), so
+   fields are visited in table order. The set of objects seen is a
+   per-domain spare, as in {!Bin_ser}. *)
+type walk = { mutable w_busy : bool; mutable seen : Slots.t }
+
+let walk_spare =
+  Domain.DLS.new_key (fun () -> { w_busy = false; seen = Slots.create () })
+
+let rec mem_ci name = function
+  | [] -> false
+  | n :: rest -> Pti_util.Strutil.equal_ci n name || mem_ci name rest
+
+let rec visit seen found v =
+  match v with
+  | Value.Vnull | Value.Vbool _ | Value.Vint _ | Value.Vfloat _
+  | Value.Vstring _ | Value.Vchar _ ->
+      ()
+  | Value.Vproxy p -> visit seen found p.Value.px_target
+  | Value.Varr a ->
+      for i = 0 to Array.length a.Value.items - 1 do
+        visit seen found a.Value.items.(i)
+      done
+  | Value.Vobj o ->
+      if Slots.find seen o.Value.oid < 0 then begin
+        Slots.replace seen o.Value.oid 0;
+        if not (mem_ci o.Value.cls !found) then found := o.Value.cls :: !found;
+        Hashtbl.iter (fun _ v -> visit seen found v) o.Value.fields
+      end
+
 let graph_classes v =
-  let seen_obj = Hashtbl.create 16 in
+  let sp = Domain.DLS.get walk_spare in
   let found = ref [] in
-  let rec go v =
-    match v with
-    | Value.Vnull | Value.Vbool _ | Value.Vint _ | Value.Vfloat _
-    | Value.Vstring _ | Value.Vchar _ ->
-        ()
-    | Value.Vproxy p -> go p.Value.px_target
-    | Value.Varr a -> Array.iter go a.Value.items
-    | Value.Vobj o ->
-        if not (Hashtbl.mem seen_obj o.Value.oid) then begin
-          Hashtbl.add seen_obj o.Value.oid ();
-          if not (List.exists (Pti_util.Strutil.equal_ci o.Value.cls) !found)
-          then found := o.Value.cls :: !found;
-          (* Visit fields in name order: [Hashtbl.iter] order depends on
-             stdlib hash internals, which would leak into envelope bytes
-             (and digests) via the type-entry list. *)
-          Hashtbl.fold (fun k v acc -> (k, v) :: acc) o.Value.fields []
-          |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-          |> List.iter (fun (_, v) -> go v)
-        end
-  in
-  go v;
+  if sp.w_busy then visit (Slots.create ()) found v
+  else begin
+    sp.w_busy <- true;
+    (match visit sp.seen found v with
+    | () -> ()
+    | exception e ->
+        Slots.clear sp.seen;
+        sp.w_busy <- false;
+        raise e);
+    Slots.clear sp.seen;
+    if Slots.capacity sp.seen > 4096 then sp.seen <- Slots.create ();
+    sp.w_busy <- false
+  end;
   List.rev !found
 
 let make ?(version_of = fun ~assembly:_ -> 0) reg ~codec ~download_path v =
@@ -141,18 +185,18 @@ let payload_codec t =
    against the new version. Names outside the envelope (or GUIDs the
    registry never learned) fall back to by-name lookup, the
    pre-evolution behavior. *)
+let rec entry_named name = function
+  | [] -> []
+  | e :: _ as l when Pti_util.Strutil.equal_ci e.te_name name -> l
+  | _ :: rest -> entry_named name rest
+
 let pinned_resolve reg t name =
-  let pinned =
-    List.find_opt
-      (fun e -> Pti_util.Strutil.equal_ci e.te_name name)
-      t.env_types
-  in
-  match pinned with
-  | Some e -> (
+  match entry_named name t.env_types with
+  | e :: _ -> (
       match Registry.find_by_guid reg e.te_guid with
-      | Some cd -> Some cd
+      | Some _ as cd -> cd
       | None -> Registry.find reg name)
-  | None -> Registry.find reg name
+  | [] -> Registry.find reg name
 
 let decode_payload reg t =
   let resolve = pinned_resolve reg t in
@@ -320,45 +364,47 @@ module R = Bytes_io.Reader
 
 let bin_magic = "PTIE\x01"
 
-let to_string_h t ~form =
-  let w = W.create () in
-  W.int64_be w (digest64 t);
-  W.varint w (List.length t.env_types);
-  let entry e =
-    W.string w e.te_name;
-    W.string w (Guid.to_string e.te_guid);
-    W.string w e.te_assembly;
-    W.string w e.te_download_path
-  in
-  (* Entry-carrying slots in wire order, for the trailing version block. *)
-  let carried = ref [] in
-  List.iter
-    (fun e ->
+let write_entry w e =
+  W.string w e.te_name;
+  W.string w (Guid.to_string e.te_guid);
+  W.string w e.te_assembly;
+  W.string w e.te_download_path
+
+(* Writes the slots; returns the entry-carrying ones, last first. *)
+let rec write_slots w form carried = function
+  | [] -> carried
+  | e :: rest -> (
       match (form e : handle_form) with
       | `Plain ->
           W.u8 w 0;
-          entry e;
-          carried := e :: !carried
+          write_entry w e;
+          write_slots w form (e :: carried) rest
       | `Bind h ->
           W.u8 w 1;
           W.varint w h;
-          entry e;
-          carried := e :: !carried
+          write_entry w e;
+          write_slots w form (e :: carried) rest
       | `Ref h ->
           W.u8 w 2;
-          W.varint w h)
-    t.env_types;
-  (match t.env_payload with
-  | Psoap x ->
-      W.u8 w 0;
-      W.string w (Xml.to_string x)
-  | Pbinary p ->
-      W.u8 w 1;
-      W.string w p);
-  let carried = List.rev !carried in
-  if List.exists (fun e -> e.te_version > 0) carried then
-    List.iter (fun e -> W.varint w e.te_version) carried;
-  Bytes_io.seal ~magic:bin_magic w
+          W.varint w h;
+          write_slots w form carried rest)
+
+let to_string_h t ~form =
+  Bytes_io.sealed ~magic:bin_magic (fun w ->
+      W.int64_be w (digest64 t);
+      W.varint w (List.length t.env_types);
+      (* Entry-carrying slots in wire order, for the trailing version
+         block. *)
+      let carried = List.rev (write_slots w form [] t.env_types) in
+      (match t.env_payload with
+      | Psoap x ->
+          W.u8 w 0;
+          W.string w (Xml.to_string x)
+      | Pbinary p ->
+          W.u8 w 1;
+          W.string w p);
+      if List.exists (fun e -> e.te_version > 0) carried then
+        List.iter (fun e -> W.varint w e.te_version) carried)
 
 let is_binary_h s =
   String.length s >= String.length bin_magic + 8

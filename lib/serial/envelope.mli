@@ -54,8 +54,9 @@ val make : ?version_of:(assembly:string -> int) -> Registry.t ->
   codec:codec -> download_path:(assembly:string -> string) ->
   Value.value -> t
 (** Serializes the value with the chosen codec and collects a [type_entry]
-    per distinct class in the graph (graph order). [version_of] supplies
-    the published chain version per assembly (default: 0, unversioned).
+    per distinct class in the graph: the root's class first, the rest
+    sorted by qualified name. [version_of] supplies the published chain
+    version per assembly (default: 0, unversioned).
     @raise Invalid_argument if a class in the graph is not registered on
     the sending host. *)
 

@@ -131,7 +131,9 @@ val send :
   size:int ->
   'a ->
   unit
-(** Sim: exactly [Net.send] (same labels, same ARQ, same accounting).
+(** Sim: exactly [Net.send] (same labels, same ARQ, same accounting);
+    [info] labels the delivery event. Streams ignore [info], so a caller
+    on a stream fabric need not build one.
     Streams: frame, apply fault middleware, write (connecting first if
     needed, buffering while a dial is in flight).
     @raise Invalid_argument for an unresolvable destination. *)

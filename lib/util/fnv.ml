@@ -44,6 +44,25 @@ let feed st s pos len =
 
 let value st = Bytes.get_int64_ne st 0
 
+let feed_byte st b =
+  Bytes.set_int64_ne st 0
+    (Int64.mul
+       (Int64.logxor (Bytes.get_int64_ne st 0) (Int64.of_int (b land 0xff)))
+       prime)
+
+(* Most significant digit first: the largest power of ten not above [n]
+   is found by division, so no digit string is ever built. *)
+let feed_decimal st n =
+  if n < 0 then invalid_arg "Fnv.feed_decimal: negative";
+  let p = ref 1 in
+  while n / !p >= 10 do
+    p := !p * 10
+  done;
+  while !p > 0 do
+    feed_byte st (Char.code '0' + (n / !p mod 10));
+    p := !p / 10
+  done
+
 let hex_digits = "0123456789abcdef"
 
 let to_hex h =

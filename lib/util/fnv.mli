@@ -49,6 +49,14 @@ val feed : state -> string -> int -> int -> unit
     Feeding fragments [a], [b], … leaves the state at [hash64 (a ^ b ^ …)].
     @raise Invalid_argument if the range is not inside [s]. *)
 
+val feed_byte : state -> int -> unit
+(** [feed_byte st b] absorbs the single byte [b land 0xff]. *)
+
+val feed_decimal : state -> int -> unit
+(** [feed_decimal st n] absorbs the decimal digits of [n], as
+    [feed st (string_of_int n)] would, without building the string.
+    @raise Invalid_argument if [n] is negative. *)
+
 val value : state -> int64
 (** The hash of everything fed so far. *)
 

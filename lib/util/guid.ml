@@ -36,17 +36,30 @@ let digit_pos k =
 
 let hex_digits = "0123456789abcdef"
 
-let to_string g =
-  let b = Bytes.make 36 '-' in
+(* Hex digit [k] of the rendering, 0 being the top nibble of [hi]. *)
+let digit g k =
+  let w = if k < 16 then g.hi else g.lo in
+  let shift = 60 - (4 * (k land 15)) in
+  hex_digits.[Int64.to_int (Int64.shift_right_logical w shift) land 0xf]
+
+let blit g b pos =
+  Bytes.fill b pos 36 '-';
   for k = 0 to 31 do
-    let w = if k < 16 then g.hi else g.lo in
-    let nibble =
-      Int64.to_int (Int64.shift_right_logical w (60 - (4 * (k land 15))))
-      land 0xf
-    in
-    Bytes.unsafe_set b (digit_pos k) hex_digits.[nibble]
-  done;
+    Bytes.set b (pos + digit_pos k) (digit g k)
+  done
+
+let to_string g =
+  let b = Bytes.create 36 in
+  blit g b 0;
   Bytes.unsafe_to_string b
+
+(* The rendering's characters in order, fed instead of stored. *)
+let feed st g =
+  for k = 0 to 31 do
+    if k = 8 || k = 12 || k = 16 || k = 20 then
+      Fnv.feed_byte st (Char.code '-');
+    Fnv.feed_byte st (Char.code (digit g k))
+  done
 
 let hex_val c =
   match c with

@@ -21,6 +21,15 @@ val of_name : string -> t
 val to_string : t -> string
 (** Canonical [xxxxxxxx-xxxx-xxxx-xxxx-xxxxxxxxxxxx] rendering. *)
 
+val blit : t -> Bytes.t -> int -> unit
+(** [blit g b pos] writes the 36-character canonical rendering into [b]
+    at [pos], for a caller that assembles a key around it.
+    @raise Invalid_argument if [b] has fewer than [pos + 36] bytes. *)
+
+val feed : Fnv.state -> t -> unit
+(** Absorbs the canonical rendering into a running digest, exactly as
+    [Fnv.feed st (to_string g) 0 36] would, without building it. *)
+
 val of_string : string -> t option
 (** Parses the canonical rendering (case-insensitive); [None] if malformed. *)
 

@@ -24,6 +24,14 @@ let rec hash_ci_from s i h =
 
 let hash_ci s = hash_ci_from s 0 0
 
+let rec has_upper s i =
+  i < String.length s
+  && (match String.unsafe_get s i with
+     | 'A' .. 'Z' -> true
+     | _ -> has_upper s (i + 1))
+
+let lowercase s = if has_upper s 0 then String.lowercase_ascii s else s
+
 let compare_ci a b =
   String.compare (String.lowercase_ascii a) (String.lowercase_ascii b)
 

@@ -15,6 +15,10 @@ val hash_ci : string -> int
 (** A hash consistent with {!equal_ci}, computed in place: keys a table
     looked up by names in any case without lowercasing them. *)
 
+val lowercase : string -> string
+(** [String.lowercase_ascii], except that a string without an ASCII
+    uppercase letter is returned as it is instead of copied. *)
+
 val compare_ci : string -> string -> int
 
 val is_identifier : string -> bool

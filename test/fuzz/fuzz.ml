@@ -1,13 +1,18 @@
-(* Seeded mutation fuzzer for the XML decoders: [Xml.parse],
-   [Type_description.of_xml_string] and [Assembly_xml.of_string].
+(* Seeded mutation fuzzer for the wire decoders: the XML ones
+   ([Xml.parse], [Type_description.of_xml_string],
+   [Assembly_xml.of_string]) and the binary ones ([Bin_ser.decode] on
+   PTIB payloads, [Envelope.of_string_h] on PTIE handle envelopes).
 
    It starts from valid wire documents (every flavor of a few workload
-   families and the demo types, type descriptions and assemblies),
-   applies a few random byte flips, deletions, insertions and
-   truncations, and feeds the result to each decoder. Each call must
-   return [Ok] or [Error] (never raise) and allocate at most [ratio]
-   words per word of input, plus a fixed allowance for the error
-   message. A violation prints a reproducible case and exits 1.
+   families and the demo types: type descriptions, assemblies, object
+   payloads and handle envelopes), applies a few random byte flips,
+   deletions, insertions and truncations, and feeds the result to each
+   decoder of its kind. Each call must return [Ok] or [Error] (never
+   raise) and allocate at most [ratio] words per word of input, plus a
+   fixed allowance for the error message. Allocation counts both heaps
+   (minor plus major, less what was promoted), so a block too large for
+   the minor heap counts too. A violation prints a reproducible case and
+   exits 1.
 
      fuzz.exe --seed N [--iterations K] *)
 
@@ -16,22 +21,35 @@ module Td = Pti_typedesc.Type_description
 module Axml = Pti_serial.Assembly_xml
 module W = Pti_demo.Workload
 module Demo = Pti_demo.Demo_types
+module Bin = Pti_serial.Bin_ser
+module Env = Pti_serial.Envelope
+module Value = Pti_cts.Value
+module Registry = Pti_cts.Registry
+module Fnv = Pti_util.Fnv
 
-(* Minor words per input word a decoder may allocate, and the allowance
-   every call gets on top (a formatted error message, the reader). *)
+(* Words (both heaps) per input word a decoder may allocate, and the
+   allowance every call gets on top (a formatted error message, the
+   reader). *)
 let ratio = 12.
 let allowance = 1024.
 
-let samples () =
-  let flavors =
-    W.[ Conformant; Trap_missing; Trap_arity; Trap_fieldtype; Typo 2 ]
-  in
-  let assemblies =
-    List.concat_map
-      (fun index -> List.map (fun flavor -> W.family ~index ~flavor) flavors)
-      [ 0; 1; 2 ]
-    @ [ Demo.news_assembly (); Demo.printer_assembly (); W.interest_assembly () ]
-  in
+let flavors = W.[ Conformant; Trap_missing; Trap_arity; Trap_fieldtype; Typo 2 ]
+
+let assemblies =
+  List.concat_map
+    (fun index -> List.map (fun flavor -> W.family ~index ~flavor) flavors)
+    [ 0; 1; 2 ]
+  @ [ Demo.news_assembly (); Demo.printer_assembly (); W.interest_assembly () ]
+
+(* Every class of every sample assembly, for the binary decoders. *)
+let registry =
+  let reg = Registry.create () in
+  List.iter
+    (fun a -> List.iter (Registry.register reg) a.Pti_cts.Assembly.asm_classes)
+    assemblies;
+  reg
+
+let xml_samples () =
   let tdescs =
     List.concat_map
       (fun a -> List.map Td.of_class a.Pti_cts.Assembly.asm_classes)
@@ -46,6 +64,90 @@ let samples () =
     @ List.concat_map
         (fun a -> [ Axml.to_string a; Xml.to_string (Axml.to_xml a) ])
         assemblies)
+
+(* Object graphs: every family's person (one of them married to itself,
+   a cycle), a news event, and arrays, one holding the same object twice
+   (a shared reference). *)
+let values () =
+  let persons =
+    List.concat_map
+      (fun index ->
+        List.filter_map
+          (fun flavor ->
+            match W.make_person registry ~index ~flavor ~name:"Ann" ~age:41 with
+            | v -> Some v
+            | exception Invalid_argument _ -> None)
+          flavors)
+      [ 0; 1; 2 ]
+  in
+  let married =
+    match persons with
+    | (Value.Vobj o as p) :: _ ->
+        Value.set_field o "spouse" p;
+        [ p ]
+    | _ -> []
+  in
+  let author = Demo.make_news_person registry ~name:"Bo" ~age:7 in
+  let event = Demo.make_news_event registry ~headline:"h" ~author ~priority:2 in
+  let arr elem_ty items = Value.Varr { Value.elem_ty; items } in
+  persons @ married
+  @ [
+      event;
+      arr Pti_cts.Ty.Int (Array.init 9 (fun i -> Value.Vint (i * 1000)));
+      arr (Pti_cts.Ty.Named Demo.news_person) [| author; author; Value.Vnull |];
+      arr Pti_cts.Ty.String [| Value.Vstring "x"; Value.Vstring "" |];
+    ]
+
+(* Handle bindings the fuzzed receiver knows: those of the first sample
+   envelope, so that refs both resolve and miss. *)
+let known : (int, Env.type_entry) Hashtbl.t = Hashtbl.create 8
+
+let handle e = 1 + String.length e.Env.te_name
+
+(* The binary frames carry a checksum over the body: a mutated frame is
+   resealed half of the time, so mutations also reach the decoders'
+   structural checks. *)
+let binary_samples () =
+  let vs = values () in
+  let payloads = List.map Bin.encode vs in
+  let envs =
+    List.concat_map
+      (fun v ->
+        let env version =
+          Env.make registry ~codec:Env.Binary
+            ~version_of:(fun ~assembly:_ -> version)
+            ~download_path:(fun ~assembly -> "asm://fuzz/" ^ assembly)
+            v
+        in
+        [ env 0; env 3 ])
+      vs
+  in
+  List.iter
+    (fun e -> Hashtbl.replace known (handle e) e)
+    (List.hd envs).Env.env_types;
+  let forms : (Env.type_entry -> Env.handle_form) list =
+    [
+      (fun _ -> `Plain);
+      (fun e -> `Bind (handle e));
+      (fun e -> `Ref (handle e));
+    ]
+  in
+  let frames =
+    List.concat_map
+      (fun env -> List.map (fun form -> Env.to_string_h env ~form) forms)
+      envs
+  in
+  (Array.of_list payloads, Array.of_list frames)
+
+(* Both magics ("PTIB\x02", "PTIE\x01") take 5 bytes, the sum 8. *)
+let reseal s =
+  let header = 13 in
+  if String.length s < header then s
+  else
+    let body = String.sub s header (String.length s - header) in
+    let b = Bytes.of_string s in
+    Bytes.set_int64_be b 5 (Fnv.hash64 body);
+    Bytes.to_string b
 
 let mutate rng s =
   let s = ref s in
@@ -73,12 +175,30 @@ let mutate rng s =
 
 type outcome = Accepted | Rejected
 
-let decoders =
+let xml_decoders =
   [
     ("Xml.parse", fun s -> Result.is_ok (Xml.parse s));
     ("Type_description.of_xml_string", fun s -> Result.is_ok (Td.of_xml_string s));
     ("Assembly_xml.of_string", fun s -> Result.is_ok (Axml.of_string s));
   ]
+
+let ptib_decoders =
+  [ ("Bin_ser.decode", fun s -> Result.is_ok (Bin.decode registry s)) ]
+
+let ptie_decoders =
+  [
+    ( "Envelope.of_string_h",
+      fun s ->
+        Result.is_ok (Env.of_string_h ~resolve:(Hashtbl.find_opt known) s) );
+  ]
+
+(* Words allocated on both heaps: a block too large for the minor heap
+   goes straight to the major one, and must count too. The minor count
+   comes from [Gc.minor_words], which is exact at any point; the minor
+   figure of [Gc.counters] jumps across a minor collection. *)
+let allocated () =
+  let _, promoted, major = Gc.counters () in
+  Gc.minor_words () +. major -. promoted
 
 let () =
   let seed = ref 7 and iterations = ref 2000 in
@@ -90,7 +210,14 @@ let () =
     (fun _ -> raise (Arg.Bad "no positional arguments"))
     "fuzz.exe --seed N [--iterations K]";
   let rng = Random.State.make [| !seed |] in
-  let samples = samples () in
+  let payloads, frames = binary_samples () in
+  let kinds =
+    [
+      (xml_samples (), xml_decoders, false);
+      (payloads, ptib_decoders, true);
+      (frames, ptie_decoders, true);
+    ]
+  in
   let accepted = ref 0 and rejected = ref 0 and peak = ref 0. in
   let violation fmt =
     Printf.ksprintf
@@ -99,30 +226,39 @@ let () =
         exit 1)
       fmt
   in
-  for i = 1 to !iterations do
-    let s = mutate rng samples.(Random.State.int rng (Array.length samples)) in
-    let input_words = float_of_int ((String.length s + 7) / 8) in
-    let bound = (ratio *. input_words) +. allowance in
-    List.iter
-      (fun (name, decode) ->
-        let before = Gc.minor_words () in
-        let outcome =
-          match decode s with
-          | true -> Accepted
-          | false -> Rejected
-          | exception e ->
-              violation "iteration %d: %s raised %s on %S" i name
-                (Printexc.to_string e) s
+  (* [iterations] documents of each kind, one kind after the other. *)
+  List.iter
+    (fun (samples, decoders, binary) ->
+      for i = 1 to !iterations do
+        let s =
+          mutate rng samples.(Random.State.int rng (Array.length samples))
         in
-        let words = Gc.minor_words () -. before in
-        peak := Float.max !peak (words /. bound);
-        if words > bound then
-          violation "iteration %d: %s allocated %.0f words on %d bytes: %S" i
-            name words (String.length s) s;
-        match outcome with Accepted -> incr accepted | Rejected -> incr rejected)
-      decoders
-  done;
+        let s = if binary && Random.State.bool rng then reseal s else s in
+        let input_words = float_of_int ((String.length s + 7) / 8) in
+        let bound = (ratio *. input_words) +. allowance in
+        List.iter
+          (fun (name, decode) ->
+            let before = allocated () in
+            let outcome =
+              match decode s with
+              | true -> Accepted
+              | false -> Rejected
+              | exception e ->
+                  violation "iteration %d: %s raised %s on %S" i name
+                    (Printexc.to_string e) s
+            in
+            let words = allocated () -. before in
+            peak := Float.max !peak (words /. bound);
+            if words > bound then
+              violation "iteration %d: %s allocated %.0f words on %d bytes: %S"
+                i name words (String.length s) s;
+            match outcome with
+            | Accepted -> incr accepted
+            | Rejected -> incr rejected)
+          decoders
+      done)
+    kinds;
   Printf.printf
-    "fuzz: seed %d: %d documents, %d decodes accepted, %d rejected, peak \
-     allocation %.0f%% of the bound\n"
+    "fuzz: seed %d: %d documents of each kind (XML, PTIB, PTIE), %d decodes \
+     accepted, %d rejected, peak allocation %.0f%% of the bound\n"
     !seed !iterations !accepted !rejected (100. *. !peak)

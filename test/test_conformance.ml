@@ -760,6 +760,26 @@ let test_cold_path_allocation () =
       Checker.clear_cache checker;
       Checker.check checker ~actual ~interest)
 
+(* A cached verdict allocates its cache key, written straight into one
+   buffer, and the result around the cached mapping; no assumption
+   table. It cost 70 words with a table per check and a key joined from
+   two GUID renderings; 21 after, plus 10 % headroom. *)
+let test_cached_check_allocation () =
+  let module W = Pti_demo.Workload in
+  let reg = Registry.create () in
+  Assembly.load reg (W.interest_assembly ());
+  Assembly.load reg (W.family ~index:1 ~flavor:W.Conformant);
+  let resolver = Td.registry_resolver reg in
+  let actual =
+    Option.get (resolver (W.person_name ~index:1 ~flavor:W.Conformant))
+  in
+  let interest = Option.get (resolver W.interest_person) in
+  let checker = Checker.create ~resolver () in
+  Alcotest.(check bool) "pair conforms" true
+    (Checker.conforms checker ~actual ~interest);
+  Alloc.check_ceiling "cached Checker.check" ~ceiling:23. (fun () ->
+      Checker.check checker ~actual ~interest)
+
 (* ----------------------- dependency index ------------------------- *)
 
 (* The flat scan the name-keyed index replaced, kept as the reference:
@@ -994,6 +1014,8 @@ let () =
         [
           Alcotest.test_case "cold path gates" `Quick
             test_cold_path_allocation;
+          Alcotest.test_case "cached check" `Quick
+            test_cached_check_allocation;
           Alcotest.test_case "note_new_type, many verdicts" `Quick
             test_note_new_type_allocation;
         ] );

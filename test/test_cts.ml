@@ -481,6 +481,86 @@ let prop_ty_of_sub =
            (fun k -> Ty.of_string k = copying_of_string k)
            [ "Int32"; " boolean[] "; "DOUBLE"; "a.B[][]"; "[]"; "void []" ])
 
+(* Member lookups against the original implementations
+   (test/registry_ref.ml) on random hierarchies: superclass chains,
+   fields shadowed by case variants of their names, supers that are
+   missing, the class itself, or close a cycle. *)
+let field_pool = [| "x"; "X"; "y"; "Yy"; "yY"; "z"; "Name"; "nAME" |]
+
+let gen_hierarchy =
+  let open QCheck.Gen in
+  let cls =
+    pair (opt (pair (int_bound 5) bool)) (list_size (int_bound 4) (int_bound 7))
+  in
+  pair (list_size (1 -- 5) cls) (list_size (int_bound 5) (int_bound 7))
+
+let build_hierarchy (classes, loose_fields) =
+  let name i upper = Printf.sprintf (if upper then "R.K%d" else "r.k%d") i in
+  let mk i (super, fields) =
+    let super = Option.map (fun (j, upper) -> name j upper) super in
+    (* Validation rejects a class that repeats a field name. *)
+    let fields =
+      List.fold_left
+        (fun acc k ->
+          let f = field_pool.(k) in
+          if List.exists (Pti_util.Strutil.equal_ci f) acc then acc
+          else acc @ [ f ])
+        [] fields
+    in
+    List.fold_left
+      (fun b f -> B.field f Ty.Int b)
+      (B.class_ ~ns:[ "r" ] ?super ~assembly:"r" (Printf.sprintf "k%d" i))
+      fields
+    |> B.build
+  in
+  let r = Registry.create () in
+  let cds = List.mapi (fun i c -> mk i c) classes in
+  List.iter (Registry.register r) cds;
+  (* Unregistered, so unvalidated: its own fields may repeat a name. *)
+  let unvalidated cd =
+    let template = List.hd (mk 7 (None, [ 0 ])).Meta.td_fields in
+    {
+      cd with
+      Meta.td_fields =
+        List.map
+          (fun k -> { template with Meta.f_name = field_pool.(k) })
+          loose_fields;
+    }
+  in
+  let loose = unvalidated (mk 9 (Some (0, false), [])) in
+  let loose_root = unvalidated (mk 8 (None, [])) in
+  (r, loose :: loose_root :: cds)
+
+let prop_member_lookups =
+  QCheck.Test.make ~name:"all_fields and find_field = the original lookups"
+    ~count:500 (QCheck.make gen_hierarchy) (fun h ->
+      let r, cds = build_hierarchy h in
+      let found = Option.map (fun (cd, f) -> (Meta.qualified_name cd, f)) in
+      List.for_all
+        (fun cd ->
+          Registry.all_fields r cd = Registry_ref.all_fields r cd
+          && List.for_all
+               (fun name ->
+                 let expected = Registry_ref.find_field r cd name in
+                 found (Registry.find_field r cd name) = found expected
+                 && Registry.mem_field r cd name = (expected <> None))
+               ("absent" :: Array.to_list field_pool))
+        cds)
+
+(* A class without a superclass is its own layout: listing its fields
+   and finding one it declares allocate nothing (through a table of
+   lowercased names they cost 80 and 9 words per call). *)
+let test_registry_alloc () =
+  let r = reg () in
+  let cd = Registry.find_exn r Demo.news_address in
+  Alcotest.(check bool) "no superclass" true (cd.Meta.td_super = None);
+  Alcotest.(check bool) "own list" true
+    (Registry.all_fields r cd == cd.Meta.td_fields);
+  Alloc.check_ceiling "Registry.all_fields, no superclass" ~ceiling:0.
+    (fun () -> Registry.all_fields r cd);
+  Alloc.check_ceiling "Registry.mem_field, own field" ~ceiling:0. (fun () ->
+      Registry.mem_field r cd "CITY")
+
 let () =
   Alcotest.run "cts"
     [
@@ -506,6 +586,8 @@ let () =
           Alcotest.test_case "missing deps" `Quick test_missing_dependencies;
           Alcotest.test_case "copy isolation" `Quick
             test_registry_copy_isolated;
+          Alcotest.test_case "allocation gate" `Quick test_registry_alloc;
+          QCheck_alcotest.to_alcotest prop_member_lookups;
         ] );
       ( "eval",
         [

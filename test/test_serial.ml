@@ -193,6 +193,27 @@ let test_malformed_binary () =
       | _ -> Alcotest.failf "should be malformed: %S" s)
     [ ""; "XXXX"; "PTIB\x01"; "PTIB\x01\x63"; "PTIB\x01\x02\x01extra" ]
 
+(* A sealed payload of 23 bytes whose array claims ten million elements:
+   the decoder used to allocate the whole array (80 MB, straight on the
+   major heap) before reading a second element, then fail. A count past
+   the bytes left is rejected before anything is allocated. *)
+let test_lying_array_count () =
+  let r = reg () in
+  let w = Bio.Writer.create () in
+  Bio.Writer.u8 w 8 (* array *);
+  Bio.Writer.string w "int";
+  Bio.Writer.varint w 10_000_000;
+  Bio.Writer.u8 w 0 (* one null *);
+  let payload = Bio.seal ~magic:"PTIB\x02" w in
+  Alcotest.(check int) "payload size" 23 (String.length payload);
+  let result = ref (Ok Value.Vnull) in
+  let words = Alloc.total_words (fun () -> result := Bin.decode r payload) in
+  (match !result with
+  | Error (Bin.Malformed _) -> ()
+  | _ -> Alcotest.fail "a lying array count decoded");
+  if words > 1000. then
+    Alcotest.failf "rejecting it allocated %.0f words (minor + major)" words
+
 let test_class_names_without_decoding () =
   let r = reg () in
   let v = sample_person r in
@@ -460,6 +481,41 @@ let prop_bin_roundtrip =
       | Ok v' -> Value.equal_deep v v'
       | Error _ -> false)
 
+(* The encoder against the original (test/bin_ser_ref.ml), byte for
+   byte, on random graphs whose objects may carry shadowed bindings
+   ([Hashtbl.add] over an existing key), extra fields past the 16 the
+   insertion sort handles, a cycle or a shared reference. *)
+let decorate r (v, seed) =
+  let rng = Random.State.make [| seed |] in
+  let seen = Hashtbl.create 8 in
+  let rec go = function
+    | Value.Vobj o when not (Hashtbl.mem seen o.Value.oid) ->
+        Hashtbl.add seen o.Value.oid ();
+        (match Random.State.int rng 4 with
+        | 0 -> Hashtbl.add o.Value.fields "name" (Value.Vint seed)
+        | 1 ->
+            for i = 0 to Random.State.int rng 30 do
+              Hashtbl.add o.Value.fields
+                (Printf.sprintf "f%d" (Random.State.int rng 20))
+                (Value.Vint i)
+            done
+        | 2 -> Hashtbl.replace o.Value.fields "spouse" (cyclic_pair r)
+        | _ -> ());
+        Hashtbl.iter (fun _ v -> go v) o.Value.fields
+    | Value.Varr a -> Array.iter go a.Value.items
+    | _ -> ()
+  in
+  go v;
+  v
+
+let prop_bin_encode_reference =
+  let r = reg () in
+  QCheck.Test.make ~name:"binary encoder = the original encoder" ~count:300
+    (QCheck.make QCheck.Gen.(pair (gen_value r) small_nat))
+    (fun vs ->
+      let v = decorate r vs in
+      String.equal (Bin.encode v) (Bin_ser_ref.encode v))
+
 let prop_soap_roundtrip =
   let r = reg () in
   QCheck.Test.make ~name:"soap codec roundtrip on random graphs" ~count:100
@@ -468,6 +524,54 @@ let prop_soap_roundtrip =
       match Soap.decode r (Soap.encode v) with
       | Ok v' -> Value.equal_deep v v'
       | Error _ -> false)
+
+(* The streamed envelope digest against the netstring original
+   (test/envelope_ref.ml): versioned and unversioned entries, SOAP and
+   binary payloads, empty type lists, fields whose lengths take one, two
+   and three or more digits, and bytes >= 0x80. *)
+let gen_envelope =
+  let open QCheck.Gen in
+  let bytes =
+    let* n = oneof [ int_bound 9; 10 -- 99; 100 -- 1500 ] in
+    string_size ~gen:char (return n)
+  in
+  let entry =
+    let* te_name = bytes and* guid = string_size (int_bound 8)
+    and* te_assembly = bytes and* te_download_path = bytes
+    and* te_version =
+      oneof [ return 0; 1 -- 9; 10 -- 99_999; return max_int ]
+    in
+    return
+      {
+        Env.te_name;
+        te_guid = Pti_util.Guid.of_name guid;
+        te_assembly;
+        te_download_path;
+        te_version;
+      }
+  in
+  let payload =
+    oneof
+      [
+        map (fun b -> Env.Pbinary b) bytes;
+        map
+          (fun t ->
+            (* Text the XML renderer keeps: printable ASCII and UTF-8. *)
+            let t = String.map (fun c -> if c < ' ' then '.' else c) t in
+            Env.Psoap (Xml.elt "x" ~attrs:[ ("a", t) ] [ Xml.text t ]))
+          (string_size
+             ~gen:(oneofl [ 'a'; '<'; '&'; ' '; '\xc3'; '\xa9' ])
+             (int_bound 120));
+      ]
+  in
+  let* env_types = oneof [ return []; list_size (1 -- 4) entry ] in
+  let* env_payload = payload in
+  return { Env.env_types; env_payload }
+
+let prop_streamed_digest =
+  QCheck.Test.make ~name:"streamed envelope digest = the netstring original"
+    ~count:500 (QCheck.make gen_envelope) (fun env ->
+      String.equal (Env.digest env) (Envelope_ref.digest env))
 
 let prop_envelope_roundtrip =
   let r = reg () in
@@ -893,8 +997,11 @@ let test_wire_golden_family_xml () =
 (* Allocation gates. [unseal] verifies magic and checksum in place and
    allocates only its reader (4 words) and the [Ok] around it (2). The
    envelope ceilings are the codec's words per call on a warm link
-   (every type a handle ref) when the streamed digests landed — 279 to
-   encode, 285 to decode — plus 10 % headroom. *)
+   (every type a handle ref) once the digest was fed field by field into
+   one state and the frame built in a reused writer (54 to encode, 103
+   to decode; 279 and 285 before), plus 10 % headroom. So are the object
+   codec's on the same person, once its tables came from a per-domain
+   spare (76 and 137; 296 and 566 before). *)
 let test_wire_alloc () =
   let frame =
     Bf.encode
@@ -918,10 +1025,16 @@ let test_wire_alloc () =
   | Ok (_, binds) -> List.iter (fun (h, e) -> Ht.install rtab h e) binds
   | Error e -> Alcotest.failf "bind: %a" Env.pp_error e);
   let warm = Env.to_string_h env ~form in
-  Alloc.check_ceiling "Envelope.to_string_h, warm link" ~ceiling:307. (fun () ->
+  Alloc.check_ceiling "Envelope.to_string_h, warm link" ~ceiling:59. (fun () ->
       Env.to_string_h env ~form);
-  Alloc.check_ceiling "Envelope.of_string_h, warm link" ~ceiling:314. (fun () ->
-      Env.of_string_h ~resolve warm)
+  Alloc.check_ceiling "Envelope.of_string_h, warm link" ~ceiling:113. (fun () ->
+      Env.of_string_h ~resolve warm);
+  let v = sample_person r in
+  let payload = Bin.encode v in
+  Alloc.check_ceiling "Bin_ser.encode, person" ~ceiling:83. (fun () ->
+      Bin.encode v);
+  Alloc.check_ceiling "Bin_ser.decode, person" ~ceiling:150. (fun () ->
+      Bin.decode r payload)
 
 (* The cold path's decoders on the family documents pinned above. Both
    read straight from bytes with a streamed digest check; through a
@@ -1071,6 +1184,7 @@ let () =
           Alcotest.test_case "primitives" `Quick test_primitives_all_codecs;
           Alcotest.test_case "unknown types" `Quick test_unknown_type_errors;
           Alcotest.test_case "malformed binary" `Quick test_malformed_binary;
+          Alcotest.test_case "lying array count" `Quick test_lying_array_count;
           Alcotest.test_case "class names probe" `Quick
             test_class_names_without_decoding;
           Alcotest.test_case "proxy encodes as target" `Quick
@@ -1096,6 +1210,8 @@ let () =
           Alcotest.test_case "malformed" `Quick test_envelope_malformed;
           Alcotest.test_case "digest collision regression" `Quick
             test_envelope_digest_collision;
+          QCheck_alcotest.to_alcotest prop_streamed_digest;
+          QCheck_alcotest.to_alcotest prop_bin_encode_reference;
           Alcotest.test_case "golden emission order" `Quick
             test_envelope_golden_order;
         ] );

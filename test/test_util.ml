@@ -188,6 +188,37 @@ let test_fnv_alloc () =
   Alloc.check_ceiling "Guid.to_string" ~ceiling:8. (fun () ->
       Guid.to_string g)
 
+(* The streamed renderings feed exactly the bytes of the strings they
+   replace, and allocate nothing. *)
+let test_fnv_streamed_renderings () =
+  let fed f =
+    let st = Fnv.start () in
+    f st;
+    Fnv.value st
+  in
+  List.iter
+    (fun n ->
+      Alcotest.(check int64) (string_of_int n)
+        (Fnv.hash64 (string_of_int n))
+        (fed (fun st -> Fnv.feed_decimal st n)))
+    [ 0; 1; 9; 10; 99; 100; 999; 1000; 123_456_789; max_int ];
+  Alcotest.(check bool) "negative rejected" true
+    (match Fnv.feed_decimal (Fnv.start ()) (-1) with
+    | () -> false
+    | exception Invalid_argument _ -> true);
+  List.iter
+    (fun g ->
+      let s = Guid.to_string g in
+      Alcotest.(check int64) s (Fnv.hash64 s) (fed (fun st -> Guid.feed st g));
+      let b = Bytes.make 40 '#' in
+      Guid.blit g b 2;
+      Alcotest.(check string) "blit" ("##" ^ s ^ "##") (Bytes.to_string b))
+    [ Guid.nil; Guid.of_name "demo.Person"; Guid.of_name "" ];
+  let st = Fnv.start () and g = Guid.of_name "demo.Person" in
+  Alloc.check_ceiling "Fnv.feed_decimal" ~ceiling:0. (fun () ->
+      Fnv.feed_decimal st max_int);
+  Alloc.check_ceiling "Guid.feed" ~ceiling:0. (fun () -> Guid.feed st g)
+
 (* ------------------------------- base64 --------------------------- *)
 
 let test_base64_vectors () =
@@ -433,6 +464,8 @@ let () =
           Alcotest.test_case "range bounds checked" `Quick
             test_fnv_range_checked;
           Alcotest.test_case "allocation gate" `Quick test_fnv_alloc;
+          Alcotest.test_case "streamed decimals and GUIDs" `Quick
+            test_fnv_streamed_renderings;
           QCheck_alcotest.to_alcotest prop_fnv_range;
           QCheck_alcotest.to_alcotest prop_fnv_chain;
           QCheck_alcotest.to_alcotest prop_fnv_feed;
