@@ -387,20 +387,16 @@ let fresh_token t =
   t.next_token <- k + 1;
   k
 
+(* On sim fabrics the label names the delivery event. [Message.describe]
+   includes subprotocol tokens, so concurrently pending deliveries get
+   distinguishable labels — the model checker's sleep sets identify
+   events by label. Boxed once here rather than by every [~describe]. *)
+let message_label = Some Message.describe
+
 let send t ~dst msg =
   Log.debug (fun m -> m "[%s] -> %s: %s" t.addr dst (Message.describe msg));
-  let category = Message.category msg and size = Message.size msg in
-  match Transport.kind t.tr with
-  | Transport.Sim ->
-      (* The label names the simulator's delivery event. [Message.describe]
-         includes subprotocol tokens, so concurrently pending deliveries
-         get distinguishable labels — the model checker's sleep sets
-         identify events by label. *)
-      Transport.send (endpoint t) ~info:(Message.describe msg) ~dst ~category
-        ~size msg
-  | Transport.Unix_socket | Transport.Tcp ->
-      (* Stream backends label nothing: no label is built. *)
-      Transport.send (endpoint t) ~dst ~category ~size msg
+  Transport.send (endpoint t) ?describe:message_label ~dst
+    ~category:(Message.category msg) ~size:(Message.size msg) msg
 
 (* ---------------------------------------------------------------- *)
 (* Asynchronous fetch plumbing                                        *)

@@ -32,14 +32,9 @@ and t_obj = 6
 and t_ref = 7
 and t_arr = 8
 
-(* Per-call bookkeeping lives in per-domain spares, reused from call to
-   call: a codec call takes its domain's spare, and gives it back
-   emptied, so a steady stream of payloads allocates no tables. A
-   nested or concurrent call finds the spare taken and builds its own.
-   Tables that grew past [spare_limit] slots are dropped on the way
-   back, so one huge graph is not retained. *)
-let spare_limit = 4096
-
+(* Per-call bookkeeping (interned names, object ids) lives in
+   per-domain spares ({!Pti_util.Spare}), so a steady stream of payloads
+   allocates no tables. *)
 let grown a n fill =
   if n < Array.length a then a
   else begin
@@ -51,40 +46,25 @@ let grown a n fill =
 (* ------------------------------ encoder ----------------------------- *)
 
 type enc = {
-  mutable e_busy : bool;
-  mutable names : Slots.t;  (* name -> wire index *)
+  names : Slots.t;  (* name -> wire index *)
   mutable name_tab : string array;  (* wire index -> name *)
-  mutable oids : Slots.t;  (* oid -> wire id *)
+  oids : Slots.t;  (* oid -> wire id *)
 }
 
-let new_enc () =
-  {
-    e_busy = false;
-    names = Slots.create ();
-    name_tab = Array.make 16 "";
-    oids = Slots.create ();
-  }
-
-let enc_spare = Domain.DLS.new_key new_enc
-
-let take_enc () =
-  let e = Domain.DLS.get enc_spare in
-  if e.e_busy then new_enc ()
-  else begin
-    e.e_busy <- true;
-    e
-  end
-
-let release_enc e =
-  Array.fill e.name_tab 0 (Slots.length e.names) "";
-  Slots.clear e.names;
-  Slots.clear e.oids;
-  if Slots.capacity e.names > spare_limit then begin
-    e.names <- Slots.create ();
-    e.name_tab <- Array.make 16 ""
-  end;
-  if Slots.capacity e.oids > spare_limit then e.oids <- Slots.create ();
-  e.e_busy <- false
+let enc_spare =
+  Pti_util.Spare.make
+    ~create:(fun () ->
+      {
+        names = Slots.create ();
+        name_tab = Array.make 16 "";
+        oids = Slots.create ();
+      })
+    ~clear:(fun e ->
+      Array.fill e.name_tab 0 (Slots.length e.names) "";
+      Slots.clear e.names;
+      Slots.clear e.oids)
+    ~words:(fun e ->
+      Array.length e.name_tab + Slots.words e.names + Slots.words e.oids)
 
 let intern_name e w s =
   let fresh = Slots.length e.names in
@@ -100,7 +80,7 @@ let intern_name e w s =
 (* An object's bindings in name order, as [Hashtbl.fold] lists them
    then sorted stably: a shadowed binding ([Hashtbl.add]) follows the one
    that shadows it. Two arrays the size of the table, sorted in place by
-   insertion (objects have a handful of fields; the list sort past 16). *)
+   binary insertion: each binding goes after the equal names before it. *)
 let sorted_fields fields =
   let n = Hashtbl.length fields in
   let keys = Array.make n "" and vals = Array.make n Value.Vnull in
@@ -111,24 +91,21 @@ let sorted_fields fields =
       keys.(!pos) <- k;
       vals.(!pos) <- v)
     fields;
-  if n <= 16 then
-    for i = 1 to n - 1 do
-      let k = keys.(i) and v = vals.(i) in
-      let j = ref (i - 1) in
-      while !j >= 0 && String.compare keys.(!j) k > 0 do
-        keys.(!j + 1) <- keys.(!j);
-        vals.(!j + 1) <- vals.(!j);
-        decr j
-      done;
-      keys.(!j + 1) <- k;
-      vals.(!j + 1) <- v
-    done
-  else
-    List.init n (fun i -> (keys.(i), vals.(i)))
-    |> List.stable_sort (fun (a, _) (b, _) -> String.compare a b)
-    |> List.iteri (fun i (k, v) ->
-           keys.(i) <- k;
-           vals.(i) <- v);
+  for i = 1 to n - 1 do
+    let k = keys.(i) and v = vals.(i) in
+    (* The first of [keys.(0 .. i-1)] that sorts after [k]. *)
+    let lo = ref 0 and hi = ref i in
+    while !lo < !hi do
+      let mid = (!lo + !hi) lsr 1 in
+      if String.compare keys.(mid) k > 0 then hi := mid else lo := mid + 1
+    done;
+    if !lo < i then begin
+      Array.blit keys !lo keys (!lo + 1) (i - !lo);
+      Array.blit vals !lo vals (!lo + 1) (i - !lo);
+      keys.(!lo) <- k;
+      vals.(!lo) <- v
+    end
+  done;
   (keys, vals)
 
 let rec strip = function Value.Vproxy p -> strip p.Value.px_target | v -> v
@@ -179,23 +156,15 @@ let rec write e w v =
       end
   | Value.Vproxy _ -> assert false
 
-let encode v =
-  let e = take_enc () in
-  match Bytes_io.sealed ~magic (fun w -> write e w v) with
-  | frame ->
-      release_enc e;
-      frame
-  | exception ex ->
-      release_enc e;
-      raise ex
+let encode_with e v () = Bytes_io.sealed ~magic (fun w -> write e w v)
+let encode v = Pti_util.Spare.use enc_spare encode_with v ()
 
 (* ------------------------------ decoder ----------------------------- *)
 
 type dec = {
-  mutable d_busy : bool;
-  mutable rev_names : Slots.t;  (* wire index -> position in [strs] *)
+  rev_names : Slots.t;  (* wire index -> position in [strs] *)
   mutable strs : string array;
-  mutable objects : Slots.t;  (* wire id -> position in [objs] *)
+  objects : Slots.t;  (* wire id -> position in [objs] *)
   mutable objs : Value.obj array;
   mutable n_objs : int;
 }
@@ -205,7 +174,6 @@ let no_obj = { Value.oid = 0; cls = ""; fields = Hashtbl.create 1 }
 
 let new_dec () =
   {
-    d_busy = false;
     rev_names = Slots.create ();
     strs = Array.make 16 "";
     objects = Slots.create ();
@@ -213,31 +181,19 @@ let new_dec () =
     n_objs = 0;
   }
 
-let dec_spare = Domain.DLS.new_key new_dec
-
-let take_dec () =
-  let d = Domain.DLS.get dec_spare in
-  if d.d_busy then new_dec ()
-  else begin
-    d.d_busy <- true;
-    d
-  end
-
-let release_dec d =
-  Array.fill d.strs 0 (Slots.length d.rev_names) "";
-  Array.fill d.objs 0 d.n_objs no_obj;
-  Slots.clear d.rev_names;
-  Slots.clear d.objects;
-  d.n_objs <- 0;
-  if Slots.capacity d.rev_names > spare_limit then begin
-    d.rev_names <- Slots.create ();
-    d.strs <- Array.make 16 ""
-  end;
-  if Slots.capacity d.objects > spare_limit then begin
-    d.objects <- Slots.create ();
-    d.objs <- Array.make 16 no_obj
-  end;
-  d.d_busy <- false
+(* [objs] grows by one per object, not per wire id: a payload that
+   reuses one id for every object still makes a spare too big to keep. *)
+let dec_spare =
+  Pti_util.Spare.make ~create:new_dec
+    ~clear:(fun d ->
+      Array.fill d.strs 0 (Slots.length d.rev_names) "";
+      Array.fill d.objs 0 d.n_objs no_obj;
+      Slots.clear d.rev_names;
+      Slots.clear d.objects;
+      d.n_objs <- 0)
+    ~words:(fun d ->
+      Array.length d.strs + Array.length d.objs + Slots.words d.rev_names
+      + Slots.words d.objects)
 
 let read_name d r =
   let i = R.varint r in
@@ -327,25 +283,20 @@ let rec read resolve reg d r =
   end
   else raise (R.Underflow (Printf.sprintf "unknown tag %d" tag))
 
+let decode_with d (resolve, reg) r =
+  match read resolve reg d r with
+  | v -> if R.at_end r then Ok v else Error (Malformed "trailing bytes")
+  | exception R.Underflow m -> Error (Malformed m)
+  | exception Unknown cls -> Error (Unknown_type cls)
+
 let decode ?resolve reg s =
   match checked_body s with
   | Error e -> Error e
-  | Ok r -> (
+  | Ok r ->
       let resolve =
         match resolve with Some f -> f | None -> Registry.find reg
       in
-      let d = take_dec () in
-      let result =
-        match read resolve reg d r with
-        | v -> if R.at_end r then Ok v else Error (Malformed "trailing bytes")
-        | exception R.Underflow m -> Error (Malformed m)
-        | exception Unknown cls -> Error (Unknown_type cls)
-        | exception e ->
-            release_dec d;
-            raise e
-      in
-      release_dec d;
-      result)
+      Pti_util.Spare.use dec_spare decode_with (resolve, reg) r
 
 (* Walk the payload structure without materializing values. *)
 let class_names_body d r =

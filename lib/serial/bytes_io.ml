@@ -127,40 +127,17 @@ let seal ~magic w =
   Bytes.set_int64_be frame m sum;
   Bytes.unsafe_to_string frame
 
-(* One spare writer per domain. [sealed] takes it, and puts it back
-   once the frame is built; a nested or concurrent caller finds it taken
-   and uses a fresh one. A writer that grew past [spare_limit] is
-   shrunk before it goes back, so one huge frame is not retained. *)
-let spare_limit = 65536
-
-type spare = { sw : Writer.t; mutable busy : bool }
-
+(* The writer is a per-domain spare, so building a frame allocates only
+   the frame itself. *)
 let spare =
-  Domain.DLS.new_key (fun () -> { sw = Writer.create (); busy = false })
+  Pti_util.Spare.make ~create:(fun () -> Writer.create ()) ~clear:Buffer.clear
+    ~words:(fun w -> Buffer.length w / (Sys.word_size / 8))
 
-let release sp =
-  if Buffer.length sp.sw > spare_limit then Buffer.reset sp.sw;
-  sp.busy <- false
+let fill_and_seal w magic f =
+  f w;
+  seal ~magic w
 
-let sealed ~magic f =
-  let sp = Domain.DLS.get spare in
-  if sp.busy then begin
-    let w = Writer.create () in
-    f w;
-    seal ~magic w
-  end
-  else begin
-    sp.busy <- true;
-    Buffer.clear sp.sw;
-    match f sp.sw with
-    | () ->
-        let frame = seal ~magic sp.sw in
-        release sp;
-        frame
-    | exception e ->
-        release sp;
-        raise e
-  end
+let sealed ~magic f = Pti_util.Spare.use spare fill_and_seal magic f
 
 type frame_error = Truncated | Bad_magic | Bad_checksum
 

@@ -75,8 +75,9 @@ val seal : magic:string -> Writer.t -> string
 
 val sealed : magic:string -> (Writer.t -> unit) -> string
 (** [sealed ~magic f] is [seal ~magic w] for an empty writer [w] that
-    [f] fills. The writer is a per-domain spare, reused from frame to
-    frame, so building a frame allocates only the frame itself. *)
+    [f] fills. The writer is a per-domain spare ({!Pti_util.Spare}),
+    reused from frame to frame, so building a frame allocates only the
+    frame itself. *)
 
 type frame_error =
   | Truncated  (** Shorter than magic plus checksum. *)

@@ -92,11 +92,9 @@ let digest t = Fnv.to_hex (digest64 t)
 (* Distinct class names reachable from a value, root first. Only the
    root's place is fixed ([make] sorts the rest by qualified name), so
    fields are visited in table order. The set of objects seen is a
-   per-domain spare, as in {!Bin_ser}. *)
-type walk = { mutable w_busy : bool; mutable seen : Slots.t }
-
+   per-domain spare ({!Pti_util.Spare}). *)
 let walk_spare =
-  Domain.DLS.new_key (fun () -> { w_busy = false; seen = Slots.create () })
+  Pti_util.Spare.make ~create:Slots.create ~clear:Slots.clear ~words:Slots.words
 
 let rec mem_ci name = function
   | [] -> false
@@ -119,23 +117,12 @@ let rec visit seen found v =
         Hashtbl.iter (fun _ v -> visit seen found v) o.Value.fields
       end
 
-let graph_classes v =
-  let sp = Domain.DLS.get walk_spare in
+let walk seen v () =
   let found = ref [] in
-  if sp.w_busy then visit (Slots.create ()) found v
-  else begin
-    sp.w_busy <- true;
-    (match visit sp.seen found v with
-    | () -> ()
-    | exception e ->
-        Slots.clear sp.seen;
-        sp.w_busy <- false;
-        raise e);
-    Slots.clear sp.seen;
-    if Slots.capacity sp.seen > 4096 then sp.seen <- Slots.create ();
-    sp.w_busy <- false
-  end;
+  visit seen found v;
   List.rev !found
+
+let graph_classes v = Pti_util.Spare.use walk_spare walk v ()
 
 let make ?(version_of = fun ~assembly:_ -> 0) reg ~codec ~download_path v =
   let classes = graph_classes v in

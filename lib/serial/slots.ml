@@ -22,7 +22,7 @@ let clear t =
   t.count <- 0
 
 let length t = t.count
-let capacity t = Array.length t.keys
+let words t = 3 * (Array.length t.keys + 1)
 
 (* Fibonacci hashing spreads sequential ids and string hashes alike. *)
 let[@inline] home t key =

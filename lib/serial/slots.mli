@@ -3,9 +3,11 @@
     per-domain spare and reuse from call to call.
 
     Every slot carries the generation that filled it, so {!clear} is one
-    increment: a reused table allocates nothing in steady state. It grows
-    (doubling) only when more than half full, so its size stays linear in
-    the number of bindings of the largest call it served. *)
+    increment: a reused table allocates nothing in steady state, where a
+    reused [Hashtbl] allocates a bucket per binding (40 words per
+    {!Bin_ser} call on the sample person). It grows (doubling) only when
+    more than half full, so its size stays linear in the number of
+    bindings of the largest call it served. *)
 
 type t
 
@@ -17,7 +19,8 @@ val clear : t -> unit
 val length : t -> int
 (** Bindings since the last {!clear}. *)
 
-val capacity : t -> int
+val words : t -> int
+(** Heap words held by the table's arrays. *)
 
 val find : t -> int -> int
 (** The value bound to the key, or [-1]. Values must be non-negative. *)

@@ -410,7 +410,7 @@ let send_frame t ~src ~dst ~category frame =
       Queue.push (category, frame) (pending_for t ~src ~dst).pd_frames;
       try_dial t ~src ~dst
 
-let send t ep ?info:_ ~dst ~category ~size:_ payload =
+let send t ep ~dst ~category ~size:_ payload =
   let src = ep.ep_addr in
   let now = Clock.now_ms t.clock in
   let copies =

@@ -92,12 +92,12 @@ let set_bind_fd t addr fd =
 let listen_spec t addr =
   match t with Sim_f _ -> None | Stream_f s -> Stream.listen_spec s addr
 
-let send ep ?info ~dst ~category ~size payload =
+let send ep ?describe ~dst ~category ~size payload =
   match ep with
   | Sim_ep { sf; addr } ->
+      let info = match describe with Some f -> Some (f payload) | None -> None in
       Net.send sf.net ?info ~src:addr ~dst ~category ~size payload
-  | Stream_ep e ->
-      Stream.send e.Stream.ep_owner e ?info ~dst ~category ~size payload
+  | Stream_ep e -> Stream.send e.Stream.ep_owner e ~dst ~category ~size payload
 
 let connect ep dst =
   match ep with

@@ -125,15 +125,15 @@ val listen_spec : _ t -> address -> string option
 
 val send :
   'a endpoint ->
-  ?info:string ->
+  ?describe:('a -> string) ->
   dst:address ->
   category:Pti_net.Stats.category ->
   size:int ->
   'a ->
   unit
 (** Sim: exactly [Net.send] (same labels, same ARQ, same accounting);
-    [info] labels the delivery event. Streams ignore [info], so a caller
-    on a stream fabric need not build one.
+    [describe payload] labels the delivery event. Streams label nothing
+    and never call [describe].
     Streams: frame, apply fault middleware, write (connecting first if
     needed, buffering while a dial is in flight).
     @raise Invalid_argument for an unresolvable destination. *)

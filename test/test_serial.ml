@@ -214,6 +214,38 @@ let test_lying_array_count () =
   if words > 1000. then
     Alcotest.failf "rejecting it allocated %.0f words (minor + major)" words
 
+(* The decoder's per-domain spare grows with a payload's objects, not
+   with its distinct wire ids: a payload of many objects under one
+   repeated id must not leave a table that size behind. *)
+let test_decoder_spare_shrinks () =
+  let r = reg () in
+  let n = 100_000 in
+  let w = Bio.Writer.create () in
+  Bio.Writer.u8 w 8 (* array *);
+  Bio.Writer.string w Demo.news_address;
+  Bio.Writer.varint w n;
+  for i = 0 to n - 1 do
+    Bio.Writer.u8 w 6 (* object *);
+    Bio.Writer.varint w 0 (* wire id *);
+    Bio.Writer.varint w 0 (* class name *);
+    if i = 0 then Bio.Writer.string w Demo.news_address;
+    Bio.Writer.varint w 0 (* fields *)
+  done;
+  let payload = Bio.seal ~magic:"PTIB\x02" w in
+  let live () =
+    Gc.compact ();
+    (Gc.stat ()).Gc.live_words
+  in
+  ignore (Bin.decode r (Bin.encode (sample_person r)));
+  let before = live () in
+  (match Bin.decode r payload with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "decode: %a" Bin.pp_error e);
+  let kept = live () - before in
+  if kept > n / 2 then
+    Alcotest.failf "decoding %d objects under one id left %d words behind" n
+      kept
+
 let test_class_names_without_decoding () =
   let r = reg () in
   let v = sample_person r in
@@ -1001,7 +1033,7 @@ let test_wire_golden_family_xml () =
    one state and the frame built in a reused writer (54 to encode, 103
    to decode; 279 and 285 before), plus 10 % headroom. So are the object
    codec's on the same person, once its tables came from a per-domain
-   spare (76 and 137; 296 and 566 before). *)
+   spare (76 and 140; 296 and 566 before). *)
 let test_wire_alloc () =
   let frame =
     Bf.encode
@@ -1185,6 +1217,8 @@ let () =
           Alcotest.test_case "unknown types" `Quick test_unknown_type_errors;
           Alcotest.test_case "malformed binary" `Quick test_malformed_binary;
           Alcotest.test_case "lying array count" `Quick test_lying_array_count;
+          Alcotest.test_case "decoder spare shrinks" `Quick
+            test_decoder_spare_shrinks;
           Alcotest.test_case "class names probe" `Quick
             test_class_names_without_decoding;
           Alcotest.test_case "proxy encodes as target" `Quick

@@ -436,6 +436,37 @@ let prop_ci_equality_and_hash =
       && ((not (S.equal_ci a b)) || S.hash_ci a = S.hash_ci b)
       && S.hash_ci a >= 0)
 
+(* ------------------------------- spare ------------------------------ *)
+
+(* A spare is a mutable int cell; [words] is its value, so a call that
+   stores a large number makes it too big to keep. *)
+let cells =
+  Pti_util.Spare.make
+    ~create:(fun () -> ref 0)
+    ~clear:(fun c -> c := 0)
+    ~words:(fun c -> !c)
+
+let test_spare () =
+  let use f = Pti_util.Spare.use cells (fun c f () -> f c) f () in
+  let first = use (fun c -> c) in
+  Alcotest.(check bool) "reused" true (use (fun c -> c) == first);
+  use (fun c -> c := 7);
+  Alcotest.(check int) "emptied" 0 !first;
+  Alcotest.(check bool) "nested call gets its own" true
+    (use (fun outer -> use (fun inner -> inner != outer)));
+  (match
+     use (fun c ->
+         c := 3;
+         failwith "boom")
+   with
+  | _ -> Alcotest.fail "no exception"
+  | exception Failure _ -> ());
+  Alcotest.(check bool) "given back on exception" true
+    (use (fun c -> c == first && !c = 0));
+  use (fun c -> c := Pti_util.Spare.limit_words + 1);
+  Alcotest.(check bool) "dropped past the limit" true
+    (use (fun c -> c != first))
+
 let () =
   Alcotest.run "util"
     [
@@ -503,4 +534,5 @@ let () =
             test_splitmix_split_diverges;
           QCheck_alcotest.to_alcotest prop_guid_string_roundtrip;
         ] );
+      ("spare", [ Alcotest.test_case "use" `Quick test_spare ]);
     ]
