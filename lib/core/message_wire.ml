@@ -4,7 +4,10 @@
    On the simulated network messages travel as in-memory values and
    only their declared [Message.size] is charged; a socket needs real
    bytes. One tag byte per constructor, then [Bytes_io] primitives
-   (varints, length-prefixed strings, option bools). A leading magic
+   (varints, length-prefixed strings, option bools). As the stream
+   codec, [write] puts a message straight into the frame being built
+   and [read] decodes it in place from the received frame, copying only
+   the message's own fields. A leading magic
    guards against framing drift; damage inside a field surfaces as a
    reader underflow and decodes to [Error], which the transport counts
    as an integrity drop — the envelope/batch checksums underneath
@@ -24,8 +27,7 @@ let opt w = function
 
 let read_opt r = if R.bool r then Some (R.string r) else None
 
-let encode (m : Message.t) =
-  let w = W.create () in
+let write w (m : Message.t) =
   W.raw w magic;
   (match m with
   | Message.Obj_msg { envelope; tdescs; assemblies } ->
@@ -79,12 +81,14 @@ let encode (m : Message.t) =
       List.iter (W.varint w) handles
   | Message.Handle_bind { frame } ->
       W.u8 w 10;
-      W.string w frame);
-  W.contents w
+      W.string w frame)
 
-let decode s : (Message.t, string) result =
+let encode m = Pti_serial.Bytes_io.written write m
+
+(* Reads to the reader's end: a view of one stream frame, or a whole
+   string. *)
+let read r : (Message.t, string) result =
   try
-    let r = R.create s in
     R.expect_magic r magic;
     let msg =
       match R.u8 r with
@@ -144,5 +148,7 @@ let decode s : (Message.t, string) result =
   | R.Underflow m -> Error m
   | Failure m -> Error m
 
+let decode s = read (R.create s)
+
 let codec : Message.t Pti_transport.Transport.codec =
-  { c_encode = encode; c_decode = decode }
+  { c_encode = write; c_decode = read }

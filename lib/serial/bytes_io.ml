@@ -38,6 +38,7 @@ module Writer = struct
   let bool t b = u8 t (if b then 1 else 0)
   let int64_be t v = Buffer.add_int64_be t v
   let raw t s = Buffer.add_string t s
+  let blit = Buffer.blit
 end
 
 module Reader = struct
@@ -48,6 +49,12 @@ module Reader = struct
   exception Underflow of string
 
   let create src = { src; pos = 0; stop = String.length src }
+
+  let sub src ~pos ~len =
+    if pos < 0 || len < 0 || pos > String.length src - len then
+      invalid_arg "Bytes_io.Reader.sub: range out of bounds";
+    { src; pos; stop = pos + len }
+
   let pos t = t.pos
   let at_end t = t.pos >= t.stop
   let remaining t = t.stop - t.pos
@@ -84,6 +91,11 @@ module Reader = struct
     if n < 0 || n > t.stop - t.pos then raise (Underflow "string past end");
     let s = String.sub t.src t.pos n in
     t.pos <- t.pos + n;
+    s
+
+  let rest t =
+    let s = String.sub t.src t.pos (t.stop - t.pos) in
+    t.pos <- t.stop;
     s
 
   let bool t = u8 t <> 0
@@ -133,11 +145,19 @@ let spare =
   Pti_util.Spare.make ~create:(fun () -> Writer.create ()) ~clear:Buffer.clear
     ~words:(fun w -> Buffer.length w / (Sys.word_size / 8))
 
+let with_writer f x y = Pti_util.Spare.use spare f x y
+
 let fill_and_seal w magic f =
   f w;
   seal ~magic w
 
-let sealed ~magic f = Pti_util.Spare.use spare fill_and_seal magic f
+let sealed ~magic f = with_writer fill_and_seal magic f
+
+let fill_and_copy w f x =
+  f w x;
+  Buffer.contents w
+
+let written f x = with_writer fill_and_copy f x
 
 type frame_error = Truncated | Bad_magic | Bad_checksum
 

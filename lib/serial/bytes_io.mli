@@ -26,6 +26,10 @@ module Writer : sig
 
   val raw : t -> string -> unit
   (** Append bytes verbatim (magic headers). *)
+
+  val blit : t -> int -> Bytes.t -> int -> int -> unit
+  (** [blit w src_pos dst dst_pos len] copies written bytes out, as
+      [Buffer.blit]. *)
 end
 
 module Reader : sig
@@ -35,6 +39,11 @@ module Reader : sig
   (** Raised on truncated or malformed input. *)
 
   val create : string -> t
+
+  val sub : string -> pos:int -> len:int -> t
+  (** A reader over [\[pos, pos + len)] of the string only, sharing it:
+      nothing is copied, and no read goes past [pos + len].
+      @raise Invalid_argument if the range is not inside the string. *)
 
   val pos : t -> int
   (** Offset of the next byte in the underlying string. *)
@@ -50,6 +59,9 @@ module Reader : sig
   val f64 : t -> float
   val string : t -> string
   (** Length-prefixed; a negative or overlong length raises [Underflow]. *)
+
+  val rest : t -> string
+  (** A copy of everything left; the reader is then at its end. *)
 
   val bool : t -> bool
   val int64_be : t -> int64
@@ -78,6 +90,15 @@ val sealed : magic:string -> (Writer.t -> unit) -> string
     [f] fills. The writer is a per-domain spare ({!Pti_util.Spare}),
     reused from frame to frame, so building a frame allocates only the
     frame itself. *)
+
+val with_writer : (Writer.t -> 'a -> 'b -> 'c) -> 'a -> 'b -> 'c
+(** [with_writer f x y] is [f w x y] for an empty writer [w]: the same
+    per-domain spare {!sealed} uses, for code that lays out other
+    frames. [w] must not escape [f]. *)
+
+val written : (Writer.t -> 'a -> unit) -> 'a -> string
+(** [written f x] is what [f w x] writes into an empty spare writer, as
+    a string built in one allocation. *)
 
 type frame_error =
   | Truncated  (** Shorter than magic plus checksum. *)

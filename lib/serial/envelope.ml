@@ -200,116 +200,230 @@ let decode_payload reg t =
       | Error (Bin_ser.Unknown_type ty) -> Error (Unknown_type ty)
       | Error (Bin_ser.Corrupt m) -> Error (Corrupt m))
 
-let entry_attrs e =
-  [
-    ("name", e.te_name);
-    ("guid", Guid.to_string e.te_guid);
-    ("assembly", e.te_assembly);
-    ("downloadPath", e.te_download_path);
-  ]
-  @ if e.te_version > 0 then [ ("version", string_of_int e.te_version) ] else []
+(* ------------------------- XML form -------------------------------- *)
 
-let payload_to_xml = function
-  | Psoap x -> Xml.elt "payload" ~attrs:[ ("encoding", "soap") ] [ x ]
-  | Pbinary b ->
-      Xml.elt "payload"
-        ~attrs:[ ("encoding", "binary") ]
-        [ Xml.text (B64.encode b) ]
+(* Layout (Figure 3), in the compact canonical rendering:
 
-let to_xml t =
-  let open Xml in
-  elt "envelope"
-    ~attrs:[ ("digest", digest t) ]
-    (List.map (fun e -> elt "type" ~attrs:(entry_attrs e) []) t.env_types
-    @ [ payload_to_xml t.env_payload ])
+     <envelope digest="HEX16"><type name=".." guid=".." assembly=".."
+       downloadPath=".." [version="N"]/>*<payload encoding="binary">BASE64
+       </payload></envelope>
 
-let attr name x =
-  match Xml.attr name x with
-  | Some v -> Ok v
-  | None -> Error (Malformed (Printf.sprintf "missing attribute %S" name))
+   with [encoding="soap"] and the SOAP element instead of the base64
+   text for a SOAP payload. Both directions work on the bytes: the
+   writer appends the document to a per-domain spare buffer
+   ({!Pti_util.Spare}) and the reader decodes it straight into records,
+   building a tree only for a SOAP payload's element. The tree pair
+   ([to_xml]/[of_xml] over [Xml.t]) they replace is kept in the tests as
+   their reference. *)
 
-let ( let* ) = Result.bind
+let xml_spare =
+  Pti_util.Spare.make
+    ~create:(fun () -> Buffer.create 512)
+    ~clear:Buffer.clear
+    ~words:(fun b -> Buffer.length b / (Sys.word_size / 8))
 
-let rec map_result f = function
-  | [] -> Ok []
-  | x :: rest ->
-      let* y = f x in
-      let* ys = map_result f rest in
-      Ok (y :: ys)
+let add_attr b name v =
+  Buffer.add_char b ' ';
+  Buffer.add_string b name;
+  Buffer.add_string b "=\"";
+  Xml.escape_attr_to b v;
+  Buffer.add_char b '"'
 
-let entry_of_elt e =
-  let* te_name = attr "name" e in
-  let* guid_s = attr "guid" e in
-  let* te_guid =
-    match Guid.of_string guid_s with
-    | Some g -> Ok g
-    | None -> Error (Malformed (Printf.sprintf "bad guid %S" guid_s))
-  in
-  let* te_assembly = attr "assembly" e in
-  let* te_download_path = attr "downloadPath" e in
-  (* Optional: absent on envelopes from pre-evolution senders. *)
-  let* te_version =
-    match Xml.attr "version" e with
-    | None -> Ok 0
-    | Some s -> (
-        match int_of_string_opt s with
-        | Some v when v >= 0 -> Ok v
-        | _ -> Error (Malformed (Printf.sprintf "bad version %S" s)))
-  in
-  Ok { te_name; te_guid; te_assembly; te_download_path; te_version }
+let rec add_entries b = function
+  | [] -> ()
+  | e :: rest ->
+      Buffer.add_string b "<type";
+      add_attr b "name" e.te_name;
+      Buffer.add_string b " guid=\"";
+      Guid.add_to_buffer b e.te_guid;
+      Buffer.add_char b '"';
+      add_attr b "assembly" e.te_assembly;
+      add_attr b "downloadPath" e.te_download_path;
+      if e.te_version > 0 then add_attr b "version" (string_of_int e.te_version);
+      Buffer.add_string b "/>";
+      add_entries b rest
 
-let payload_of_xml x =
-  let* payload_elt =
-    match Xml.child "payload" x with
-    | Some p -> Ok p
-    | None -> Error (Malformed "missing <payload>")
-  in
-  let* encoding = attr "encoding" payload_elt in
-  match encoding with
-  | "soap" -> (
-      match
-        List.filter
-          (function Xml.Element _ -> true | _ -> false)
-          (Xml.children payload_elt)
-      with
-      | [ inner ] -> Ok (Psoap inner)
+let write_xml b t () =
+  Buffer.add_string b "<envelope digest=\"";
+  Fnv.add_hex b (digest64 t);
+  Buffer.add_string b "\">";
+  add_entries b t.env_types;
+  (match t.env_payload with
+  | Psoap x ->
+      Buffer.add_string b "<payload encoding=\"soap\">";
+      Xml.to_buffer b x
+  | Pbinary p ->
+      Buffer.add_string b "<payload encoding=\"binary\">";
+      B64.encode_to b p);
+  Buffer.add_string b "</payload></envelope>";
+  Buffer.contents b
+
+let to_string t = Pti_util.Spare.use xml_spare write_xml t ()
+
+module XR = Xml.Reader
+
+let missing name = Error (Malformed (Printf.sprintf "missing attribute %S" name))
+
+(* A <type> element's entry, read from its start tag. The attributes are
+   checked in a fixed order, so a tag with several faults always reports
+   the same one. *)
+let read_entry r =
+  let i_name = XR.attr r "name" and i_guid = XR.attr r "guid" in
+  if i_name < 0 then missing "name"
+  else if i_guid < 0 then missing "guid"
+  else
+    match XR.value_with r i_guid Guid.of_sub with
+    | None -> Error (Malformed (Printf.sprintf "bad guid %S" (XR.value r i_guid)))
+    | Some te_guid -> (
+        let i_asm = XR.attr r "assembly" and i_path = XR.attr r "downloadPath" in
+        if i_asm < 0 then missing "assembly"
+        else if i_path < 0 then missing "downloadPath"
+        else
+          (* Optional: absent on envelopes from pre-evolution senders. *)
+          let i_version = XR.attr r "version" in
+          let te_version =
+            if i_version < 0 then 0
+            else
+              match int_of_string_opt (XR.value r i_version) with
+              | Some v when v >= 0 -> v
+              | _ -> -1
+          in
+          if te_version < 0 then
+            Error
+              (Malformed
+                 (Printf.sprintf "bad version %S" (XR.value r i_version)))
+          else
+            Ok
+              {
+                te_name = XR.value r i_name;
+                te_guid;
+                te_assembly = XR.value r i_asm;
+                te_download_path = XR.value r i_path;
+                te_version;
+              })
+
+(* A SOAP payload's children: exactly one element, kept as a tree. *)
+let rec read_soap r inner n =
+  match XR.next r with
+  | XR.Start ->
+      if n = 0 then read_soap r (Some (Xml.subtree r)) 1
+      else begin
+        XR.skip r;
+        read_soap r inner (n + 1)
+      end
+  | XR.Text | XR.Cdata | XR.Comment -> read_soap r inner n
+  | XR.End | XR.Eof -> (
+      match inner with
+      | Some x when n = 1 -> Ok (Psoap x)
       | _ -> Error (Malformed "soap payload expects one element"))
-  | "binary" -> (
-      match B64.decode (Xml.text_content payload_elt) with
-      | Some b -> Ok (Pbinary b)
-      | None -> Error (Malformed "bad base64 payload"))
-  | other -> Error (Malformed (Printf.sprintf "unknown encoding %S" other))
 
-let is_typeref = function Xml.Element ("typeref", _, _) -> true | _ -> false
+(* A binary payload is all the character data inside it, at any depth,
+   comments left out: each piece goes through one base64 decoder. *)
+let rec read_base64 r d depth =
+  match XR.next r with
+  | XR.Text | XR.Cdata ->
+      XR.text_with r B64.feed d;
+      read_base64 r d depth
+  | XR.Comment -> read_base64 r d depth
+  | XR.Start -> read_base64 r d (depth + 1)
+  | XR.End -> if depth > 0 then read_base64 r d (depth - 1)
+  | XR.Eof -> ()
 
-let of_xml x =
-  match Xml.tag x with
-  | Some "envelope" when List.exists is_typeref (Xml.children x) ->
-      (* Handle references only exist in the binary PTIE form. *)
-      Error (Malformed "<typeref> in an XML envelope")
-  | Some "envelope" ->
-      let* env_types = map_result entry_of_elt (Xml.childs "type" x) in
-      let* env_payload = payload_of_xml x in
-      let t = { env_types; env_payload } in
-      (* An envelope written before digests existed (no attribute) is
-         accepted as-is; a present digest must match the recomputed one. *)
-      let* () =
-        match Xml.attr "digest" x with
-        | None -> Ok ()
-        | Some d when String.equal d (digest t) -> Ok ()
-        | Some _ -> Error (Corrupt "envelope digest mismatch")
+(* From the <payload> start tag through its end tag. *)
+let read_payload b r =
+  let i = XR.attr r "encoding" in
+  if i < 0 then begin
+    XR.skip r;
+    missing "encoding"
+  end
+  else if XR.value_is r i "soap" then read_soap r None 0
+  else if XR.value_is r i "binary" then begin
+    let d = B64.decoder b in
+    read_base64 r d 0;
+    if B64.finish d then Ok (Pbinary (Buffer.contents b))
+    else Error (Malformed "bad base64 payload")
+  end
+  else
+    let encoding = XR.value r i in
+    XR.skip r;
+    Error (Malformed (Printf.sprintf "unknown encoding %S" encoding))
+
+(* What the root's children held. The whole document is read before any
+   of it is judged, so faults rank as they would on a parsed tree: a
+   syntax error anywhere first, then a <typeref>, then the first bad
+   <type> entry, then the first <payload>, then the digest. *)
+type scan = {
+  mutable entries : type_entry list;  (* last first *)
+  mutable entry_error : error option;
+  mutable typeref : bool;
+  mutable payload : (payload, error) result option;
+}
+
+let rec read_children b r sc =
+  match XR.next r with
+  | XR.Start ->
+      if XR.is r "type" then begin
+        (match sc.entry_error with
+        | Some _ -> ()
+        | None -> (
+            match read_entry r with
+            | Ok e -> sc.entries <- e :: sc.entries
+            | Error e -> sc.entry_error <- Some e));
+        XR.skip r
+      end
+      else if XR.is r "payload" && Option.is_none sc.payload then
+        sc.payload <- Some (read_payload b r)
+      else begin
+        if XR.is r "typeref" then sc.typeref <- true;
+        XR.skip r
+      end;
+      read_children b r sc
+  | XR.Text | XR.Cdata | XR.Comment -> read_children b r sc
+  | XR.End | XR.Eof -> ()
+
+let judge sc digest_attr =
+  if sc.typeref then
+    (* Handle references only exist in the binary PTIE form. *)
+    Error (Malformed "<typeref> in an XML envelope")
+  else
+    match (sc.entry_error, sc.payload) with
+    | Some e, _ | None, Some (Error e) -> Error e
+    | None, None -> Error (Malformed "missing <payload>")
+    | None, Some (Ok env_payload) -> (
+        let t = { env_types = List.rev sc.entries; env_payload } in
+        (* An envelope written before digests existed (no attribute) is
+           accepted as-is; a present digest must match the recomputed
+           one. *)
+        match digest_attr with
+        | None -> Ok t
+        | Some d when String.equal d (digest t) -> Ok t
+        | Some _ -> Error (Corrupt "envelope digest mismatch"))
+
+let read_xml b s () =
+  let r = XR.create s in
+  match
+    ignore (XR.next r);
+    if not (XR.is r "envelope") then begin
+      let name = XR.name r in
+      XR.drain r;
+      Error (Malformed (Printf.sprintf "expected <envelope>, got <%s>" name))
+    end
+    else begin
+      let i = XR.attr r "digest" in
+      let digest_attr = if i < 0 then None else Some (XR.value r i) in
+      let sc =
+        { entries = []; entry_error = None; typeref = false; payload = None }
       in
-      Ok t
-  | Some other ->
-      Error (Malformed (Printf.sprintf "expected <envelope>, got <%s>" other))
-  | None -> Error (Malformed "expected an element")
+      read_children b r sc;
+      XR.drain r;
+      judge sc digest_attr
+    end
+  with
+  | result -> result
+  | exception Xml.Malformed e ->
+      Error (Malformed (Format.asprintf "%a" Xml.pp_error e))
 
-let to_string t = Xml.to_string (to_xml t)
-
-let of_string s =
-  match Xml.parse s with
-  | Error e -> Error (Malformed (Format.asprintf "%a" Xml.pp_error e))
-  | Ok x -> of_xml x
+let of_string s = Pti_util.Spare.use xml_spare read_xml s ()
 
 let size_bytes t = String.length (to_string t)
 

@@ -46,9 +46,9 @@ val pp_error : Format.formatter -> error -> unit
 val digest : t -> string
 (** FNV-1a (hex) over the envelope's canonical content — every type
     entry field plus the serialized payload bytes. Written as a
-    [digest] attribute by {!to_xml}; {!of_xml} recomputes and compares
-    when the attribute is present (envelopes without one are accepted,
-    for pre-digest peers). *)
+    [digest] attribute by {!to_string}; {!of_string} recomputes and
+    compares when the attribute is present (envelopes without one are
+    accepted, for pre-digest peers). *)
 
 val make : ?version_of:(assembly:string -> int) -> Registry.t ->
   codec:codec -> download_path:(assembly:string -> string) ->
@@ -75,13 +75,22 @@ val decode_payload : Registry.t -> t -> (Value.value, error) result
     upgrade-safety invariant), while pre-evolution registries (where name
     and GUID agree) behave exactly as before. *)
 
-val to_xml : t -> Pti_xml.Xml.t
-val of_xml : Pti_xml.Xml.t -> (t, error) result
-(** A classic envelope. A [<typeref>] element (a handle reference,
-    which only the binary form can carry) makes it [Malformed]. *)
-
 val to_string : t -> string
+(** The classic XML envelope: an [<envelope digest=..>] element with one
+    [<type>] element per entry and a [<payload>] (SOAP element, or
+    base64 text for a binary payload), in the compact canonical
+    rendering. Written straight into a reused per-domain buffer, with no
+    tree and no per-field string built. *)
+
 val of_string : string -> (t, error) result
+(** Reads a classic envelope straight from its bytes into records; only
+    a SOAP payload's element becomes an {!Pti_xml.Xml.t}. Unknown
+    elements and text between the entries are ignored; only the first
+    [<payload>] counts. A [<typeref>] element (a handle reference, which
+    only the binary form can carry) makes it [Malformed]. Faults rank in
+    a fixed order: an XML syntax error anywhere, then a [<typeref>],
+    then the first bad [<type>], then the payload, then a digest
+    mismatch ([Corrupt]). *)
 
 val size_bytes : t -> int
 

@@ -108,8 +108,7 @@ module R = Bytes_io.Reader
 
 let bind_magic = "PTIH\x01"
 
-let encode_bindings binds =
-  let w = W.create () in
+let write_bindings w binds =
   W.varint w (List.length binds);
   List.iter
     (fun (h, e) ->
@@ -123,8 +122,10 @@ let encode_bindings binds =
      emitted only when some binding is versioned, so pre-evolution
      frames stay byte-identical (decoders probe with [at_end]). *)
   if List.exists (fun (_, e) -> e.Envelope.te_version > 0) binds then
-    List.iter (fun (_, e) -> W.varint w e.Envelope.te_version) binds;
-  Bytes_io.seal ~magic:bind_magic w
+    List.iter (fun (_, e) -> W.varint w e.Envelope.te_version) binds
+
+let encode_bindings binds =
+  Bytes_io.sealed ~magic:bind_magic (fun w -> write_bindings w binds)
 
 let checked_body s =
   match Bytes_io.unseal ~magic:bind_magic s with

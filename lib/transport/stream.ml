@@ -9,7 +9,8 @@
    payload is either a hello ([0x48] + sender address, the first frame
    on every dialed connection, so the acceptor learns the dialer's
    logical address and replies can reuse the inbound connection — only
-   dialers ever need the peer to be resolvable) or data ([0x44] +
+   dialers ever need the peer to be resolvable; a connection takes one
+   hello, a second is an integrity drop) or data ([0x44] +
    category byte + f64 wall-clock send stamp + codec payload). The
    stamp is absolute wall milliseconds, not fabric-relative, so
    cross-process latency measurement works without clock negotiation
@@ -42,8 +43,8 @@ module Stats = Pti_net.Stats
 type address = string
 
 type 'a codec = {
-  c_encode : 'a -> string;
-  c_decode : string -> ('a, string) result;
+  c_encode : W.t -> 'a -> unit;
+  c_decode : R.t -> ('a, string) result;
 }
 
 type family = Unix_socket | Tcp
@@ -82,6 +83,11 @@ type 'a t = {
   tcp_host : string;  (* bind/dial host (tcp family) *)
   endpoints : (address, 'a endpoint) Hashtbl.t;
   mutable conns : conn list;
+  (* What [poll] hands to select, rebuilt only when an endpoint or a
+     connection comes or goes: the endpoints, and every listening and
+     connection descriptor. *)
+  mutable eps : 'a endpoint list;
+  mutable read_fds : Unix.file_descr list;
   remotes : (address, string) Hashtbl.t;  (* logical addr -> dial spec *)
   binds : (address, bind_spec) Hashtbl.t;  (* pre-registered listeners *)
   pendings : (address * address, pending) Hashtbl.t;
@@ -119,7 +125,10 @@ let create ~family ?(policy = Arq.default) ?(unix_dir = "") ?(tcp_host = "127.0.
     family;
     codec =
       (* installed by the facade right after create; never used before *)
-      { c_encode = (fun _ -> assert false); c_decode = (fun _ -> assert false) };
+      {
+        c_encode = (fun _ _ -> assert false);
+        c_decode = (fun _ -> assert false);
+      };
     clock = Clock.monotonic ~now:wall_ms ();
     stats = Stats.create ?metrics ();
     policy;
@@ -127,6 +136,8 @@ let create ~family ?(policy = Arq.default) ?(unix_dir = "") ?(tcp_host = "127.0.
     tcp_host;
     endpoints = Hashtbl.create 8;
     conns = [];
+    eps = [];
+    read_fds = [];
     remotes = Hashtbl.create 8;
     binds = Hashtbl.create 4;
     pendings = Hashtbl.create 8;
@@ -138,6 +149,11 @@ let create ~family ?(policy = Arq.default) ?(unix_dir = "") ?(tcp_host = "127.0.
   }
 
 let set_codec t codec = t.codec <- codec
+
+let refresh_fds t =
+  t.eps <- Hashtbl.fold (fun _ ep acc -> ep :: acc) t.endpoints [];
+  t.read_fds <-
+    List.map (fun ep -> ep.ep_listen) t.eps @ List.map (fun c -> c.fd) t.conns
 
 let emit t ev = List.iter (fun f -> f ev) (List.rev t.listeners)
 let on_conn_event t f = t.listeners <- f :: t.listeners
@@ -231,6 +247,7 @@ let add_endpoint t addr ~handler =
   let spec = spec_of_sockaddr (Unix.getsockname fd) in
   let ep = { ep_addr = addr; ep_handler = handler; ep_listen = fd; ep_spec = spec; ep_owner = t } in
   Hashtbl.replace t.endpoints addr ep;
+  refresh_fds t;
   ep
 
 let listen_spec t addr =
@@ -239,24 +256,30 @@ let listen_spec t addr =
 (* ---- connections ------------------------------------------------------ *)
 
 let hello_frame addr =
-  let w = W.create () in
-  W.u8 w 0x48;
-  W.raw w addr;
-  Framing.encode (W.contents w)
+  Framing.framed (fun w ->
+      W.u8 w 0x48;
+      W.raw w addr)
 
-let data_frame t ~category payload =
-  let w = W.create ~initial:(String.length payload + 16) () in
-  W.u8 w 0x44;
-  W.u8 w (Stats.index category);
-  W.f64 w (wall_ms ());
-  W.raw w payload;
-  ignore t;
-  Framing.encode (W.contents w)
+(* Header and message go straight into the frame being built: the frame
+   is the one string a send allocates. *)
+let data_frame codec ~category v =
+  Framing.framed (fun w ->
+      W.u8 w 0x44;
+      W.u8 w (Stats.index category);
+      W.f64 w (wall_ms ());
+      codec.c_encode w v)
 
-let find_conn t ~local ~peer =
-  List.find_opt
-    (fun c -> c.cn_alive && c.cn_local = local && c.cn_peer = Some peer)
-    t.conns
+let is_link ~local ~peer c =
+  c.cn_alive
+  && String.equal c.cn_local local
+  && match c.cn_peer with Some p -> String.equal p peer | None -> false
+
+let rec find_link ~local ~peer = function
+  | [] -> None
+  | c :: rest ->
+      if is_link ~local ~peer c then Some c else find_link ~local ~peer rest
+
+let find_conn t ~local ~peer = find_link ~local ~peer t.conns
 
 (* Every stream connection, dialed or accepted, is nonblocking, and on
    TCP sends each frame at once: with Nagle's algorithm on, a small
@@ -283,6 +306,7 @@ let add_conn t fd ~local ~peer =
     }
   in
   t.conns <- c :: t.conns;
+  refresh_fds t;
   c
 
 let kill_conn t c =
@@ -290,6 +314,7 @@ let kill_conn t c =
     c.cn_alive <- false;
     (try Unix.close c.fd with Unix.Unix_error _ -> ());
     t.conns <- List.filter (fun c' -> c' != c) t.conns;
+    refresh_fds t;
     match c.cn_peer with
     | Some peer -> emit t (Disconnected { local = c.cn_local; peer })
     | None -> ()
@@ -435,7 +460,7 @@ let send t ep ~dst ~category ~size:_ payload =
               Stats.record_link t.stats Corrupted;
               p)
     in
-    let frame = data_frame t ~category (t.codec.c_encode payload) in
+    let frame = data_frame t.codec ~category payload in
     Stats.record t.stats category ~bytes:(String.length frame);
     let injected_drop =
       (not (severed t ~src ~dst))
@@ -477,26 +502,29 @@ let disconnect t ep dst =
 
 (* ---- receive path ----------------------------------------------------- *)
 
-let dispatch t c frame_len payload =
-  let r = R.create payload in
+(* [r] is a view of the frame inside the connection's decoder: valid
+   only until the decoder is fed again, which a handler that polls
+   does. So everything is read out of it (the codec copies what the
+   message keeps) before any handler runs. *)
+let dispatch t c frame_len r =
   try
     match R.u8 r with
-    | 0x48 ->
-      (* hello: the dialer identifies itself *)
-        let peer =
-          String.sub payload (R.pos r) (String.length payload - R.pos r)
-        in
-        c.cn_peer <- Some peer;
-        emit t (Connected { local = c.cn_local; peer })
+    | 0x48 -> (
+        (* hello: the dialer identifies itself, once. A second hello
+           would re-point an established connection at another
+           address, its handle tables and its continuations. *)
+        match c.cn_peer with
+        | Some _ -> Stats.record_link t.stats Integrity_drop
+        | None ->
+            let peer = R.rest r in
+            c.cn_peer <- Some peer;
+            emit t (Connected { local = c.cn_local; peer }))
     | 0x44 -> (
         match c.cn_peer with
         | None -> Stats.record_link t.stats Dropped  (* data before hello *)
         | Some peer ->
             let cat_idx = R.u8 r in
             let stamp = R.f64 r in
-            let body =
-              String.sub payload (R.pos r) (String.length payload - R.pos r)
-            in
             let category =
               if cat_idx < ncat then Stats.of_index cat_idx else Stats.Control
             in
@@ -506,7 +534,7 @@ let dispatch t c frame_len payload =
                  kills it on arrival, mirroring the sim's in-flight cut. *)
               Stats.record_link t.stats Dropped
             else (
-              match t.codec.c_decode body with
+              match t.codec.c_decode r with
               | Error _ -> Stats.record_link t.stats Integrity_drop
               | Ok v -> (
                   match t.integrity with
@@ -523,26 +551,29 @@ let dispatch t c frame_len payload =
 
 let read_chunk = Bytes.create 65536
 
+(* Frames are dispatched as they complete. A handler may poll, and so
+   feed this decoder and dispatch later frames itself before it
+   returns; this loop then goes on from wherever the decoder is. *)
+let rec drain t c =
+  if c.cn_alive then
+    match Framing.Decoder.next c.cn_dec with
+    | Framing.Decoder.Frame ->
+        dispatch t c
+          (Framing.Decoder.frame_size c.cn_dec)
+          (Framing.Decoder.view c.cn_dec);
+        drain t c
+    | Framing.Decoder.Partial -> ()
+    | Framing.Decoder.Bad _ ->
+        (* Unframeable garbage: the stream is unrecoverable. *)
+        Stats.record_link t.stats Integrity_drop;
+        kill_conn t c
+
 let service_read t c =
   match Unix.read c.fd read_chunk 0 (Bytes.length read_chunk) with
   | 0 -> kill_conn t c
   | n ->
       Framing.Decoder.feed c.cn_dec ~len:n (Bytes.unsafe_to_string read_chunk);
-      let rec drain () =
-        if c.cn_alive then
-          match Framing.Decoder.pop c.cn_dec with
-          | Ok (Some frame) ->
-              dispatch t c
-                (String.length frame + Framing.frame_overhead (String.length frame))
-                frame;
-              drain ()
-          | Ok None -> ()
-          | Error _ ->
-              (* Unframeable garbage: the stream is unrecoverable. *)
-              Stats.record_link t.stats Integrity_drop;
-              kill_conn t c
-      in
-      drain ()
+      drain t c
   | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
   | exception Unix.Unix_error _ -> kill_conn t c
 
@@ -562,21 +593,35 @@ let service_accept t ep =
 let has_buffered_out t =
   List.exists (fun c -> c.cn_alive && not (Queue.is_empty c.cn_out)) t.conns
 
+(* Descriptors with output waiting; [] (no allocation) when none has. *)
+let rec write_fds = function
+  | [] -> []
+  | c :: rest ->
+      if Queue.is_empty c.cn_out then write_fds rest else c.fd :: write_fds rest
+
+let rec service_accepts t r = function
+  | [] -> ()
+  | ep :: rest ->
+      if List.memq ep.ep_listen r then service_accept t ep;
+      service_accepts t r rest
+
+let rec service_reads t r = function
+  | [] -> ()
+  | c :: rest ->
+      if c.cn_alive && List.memq c.fd r then service_read t c;
+      service_reads t r rest
+
+let rec service_writes t w = function
+  | [] -> ()
+  | c :: rest ->
+      if c.cn_alive && List.memq c.fd w then flush_conn t c;
+      service_writes t w rest
+
 let poll t ~timeout_ms =
   if t.closed then false
   else begin
-    let listeners =
-      Hashtbl.fold (fun _ ep acc -> (ep.ep_listen, `L ep) :: acc) t.endpoints []
-    in
-    let conns = t.conns in
-    let rds =
-      List.map fst listeners @ List.map (fun c -> c.fd) conns
-    in
-    let wrs =
-      List.filter_map
-        (fun c -> if Queue.is_empty c.cn_out then None else Some c.fd)
-        conns
-    in
+    (* Snapshots: servicing may add or kill connections. *)
+    let eps = t.eps and conns = t.conns in
     let timeout =
       let t_io = Float.max 0. timeout_ms in
       match Clock.next_due_ms t.clock with
@@ -584,14 +629,14 @@ let poll t ~timeout_ms =
       | None -> t_io /. 1000.
     in
     let r, w, _ =
-      try Unix.select rds wrs [] timeout
+      try Unix.select t.read_fds (write_fds conns) [] timeout
       with Unix.Unix_error (Unix.EINTR, _, _) -> ([], [], [])
     in
-    List.iter
-      (fun (fd, `L ep) -> if List.memq fd r then service_accept t ep)
-      listeners;
-    List.iter (fun c -> if c.cn_alive && List.memq c.fd r then service_read t c) conns;
-    List.iter (fun c -> if c.cn_alive && List.memq c.fd w then flush_conn t c) conns;
+    if r <> [] then begin
+      service_accepts t r eps;
+      service_reads t r conns
+    end;
+    if w <> [] then service_writes t w conns;
     let fired = Clock.tick t.clock in
     r <> [] || w <> [] || fired > 0
   end
@@ -651,6 +696,7 @@ let remove_endpoint t addr =
   | None -> ()
   | Some ep ->
       Hashtbl.remove t.endpoints addr;
+      refresh_fds t;
       List.iter (fun c -> if c.cn_local = addr then kill_conn t c) t.conns;
       (try Unix.close ep.ep_listen with Unix.Unix_error _ -> ());
       if t.family = Unix_socket then

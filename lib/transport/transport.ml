@@ -16,8 +16,8 @@ let kind_of_string = function
   | _ -> None
 
 type 'a codec = 'a Stream.codec = {
-  c_encode : 'a -> string;
-  c_decode : string -> ('a, string) result;
+  c_encode : Pti_serial.Bytes_io.Writer.t -> 'a -> unit;
+  c_decode : Pti_serial.Bytes_io.Reader.t -> ('a, string) result;
 }
 
 type conn_event = Stream.conn_event =

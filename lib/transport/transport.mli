@@ -33,11 +33,26 @@ val kind_of_string : string -> kind option
 (** ["sim" | "unix" | "tcp"]. *)
 
 type 'a codec = {
-  c_encode : 'a -> string;
-  c_decode : string -> ('a, string) result;
+  c_encode : Pti_serial.Bytes_io.Writer.t -> 'a -> unit;
+  c_decode : Pti_serial.Bytes_io.Reader.t -> ('a, string) result;
 }
 (** Payload <-> wire bytes, used by stream backends only (the sim moves
-    values in memory and charges declared sizes). *)
+    values in memory and charges declared sizes).
+
+    [c_encode w v] appends [v]'s bytes to [w], the frame being built:
+    the frame header is already in it, and the length prefix goes in
+    front once [c_encode] returns, so a send builds its frame in a reused
+    writer and allocates the frame string once. [w] must not be kept.
+
+    [c_decode r] reads one payload from [r], a reader over exactly that
+    payload, inside the connection's receive buffer (nothing is copied
+    before the codec sees it). It should consume the reader to its end;
+    a [Bytes_io.Reader.Underflow] it lets escape counts as an integrity
+    drop, like an [Error]. The view is valid only while [c_decode] runs:
+    the buffer is refilled, and its bytes may move, as soon as anything
+    polls the fabric, which a delivery handler may do. So the decoded
+    value must own its bytes ([Bytes_io.Reader.string] copies); it must
+    not hold on to [r]. *)
 
 type conn_event =
   | Connected of { local : address; peer : address }

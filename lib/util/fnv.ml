@@ -75,4 +75,11 @@ let to_hex h =
   done;
   Bytes.unsafe_to_string b
 
+let add_hex b h =
+  for i = 0 to 15 do
+    Buffer.add_char b
+      hex_digits.[Int64.to_int (Int64.shift_right_logical h ((15 - i) * 4))
+                  land 0xf]
+  done
+
 let hash_hex s = to_hex (hash64 s)

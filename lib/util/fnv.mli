@@ -63,5 +63,8 @@ val value : state -> int64
 val to_hex : int64 -> string
 (** 16 lowercase hex digits, zero padded. *)
 
+val add_hex : Buffer.t -> int64 -> unit
+(** Appends [to_hex h] without building it. *)
+
 val hash_hex : string -> string
 (** [to_hex (hash64 s)]. *)

@@ -53,6 +53,12 @@ let to_string g =
   blit g b 0;
   Bytes.unsafe_to_string b
 
+let add_to_buffer b g =
+  for k = 0 to 31 do
+    if k = 8 || k = 12 || k = 16 || k = 20 then Buffer.add_char b '-';
+    Buffer.add_char b (digit g k)
+  done
+
 (* The rendering's characters in order, fed instead of stored. *)
 let feed st g =
   for k = 0 to 31 do
@@ -68,15 +74,20 @@ let hex_val c =
   | 'A' .. 'F' -> Char.code c - Char.code 'A' + 10
   | _ -> -1
 
-let of_string s =
+let of_sub s pos len =
+  if pos < 0 || len < 0 || pos > String.length s - len then
+    invalid_arg "Guid.of_sub: range out of bounds";
   if
-    String.length s <> 36
-    || s.[8] <> '-' || s.[13] <> '-' || s.[18] <> '-' || s.[23] <> '-'
+    len <> 36
+    || s.[pos + 8] <> '-'
+    || s.[pos + 13] <> '-'
+    || s.[pos + 18] <> '-'
+    || s.[pos + 23] <> '-'
   then None
   else begin
     let ok = ref true and hi = ref 0L and lo = ref 0L in
     for k = 0 to 31 do
-      let v = hex_val (String.unsafe_get s (digit_pos k)) in
+      let v = hex_val (String.unsafe_get s (pos + digit_pos k)) in
       if v < 0 then ok := false
       else if k < 16 then
         hi := Int64.logor (Int64.shift_left !hi 4) (Int64.of_int v)
@@ -84,6 +95,8 @@ let of_string s =
     done;
     if !ok then Some { hi = !hi; lo = !lo } else None
   end
+
+let of_string s = of_sub s 0 (String.length s)
 
 let of_string_exn s =
   match of_string s with

@@ -26,12 +26,21 @@ val blit : t -> Bytes.t -> int -> unit
     at [pos], for a caller that assembles a key around it.
     @raise Invalid_argument if [b] has fewer than [pos + 36] bytes. *)
 
+val add_to_buffer : Buffer.t -> t -> unit
+(** Appends the canonical rendering, as [Buffer.add_string b (to_string g)]
+    would, without building it. *)
+
 val feed : Fnv.state -> t -> unit
 (** Absorbs the canonical rendering into a running digest, exactly as
     [Fnv.feed st (to_string g) 0 36] would, without building it. *)
 
 val of_string : string -> t option
 (** Parses the canonical rendering (case-insensitive); [None] if malformed. *)
+
+val of_sub : string -> int -> int -> t option
+(** [of_sub s pos len] is [of_string (String.sub s pos len)], read in
+    place.
+    @raise Invalid_argument if the range is not inside [s]. *)
 
 val of_string_exn : string -> t
 (** @raise Invalid_argument on malformed input. *)

@@ -104,6 +104,7 @@ let escape_with ~quotes s =
 
 let escape_text s = escape_with ~quotes:false s
 let escape_attr s = escape_with ~quotes:true s
+let escape_attr_to b s = emit_escaped (Buf b) ~quotes:true s
 
 let rec emit_attrs sink = function
   | [] -> ()
@@ -151,6 +152,8 @@ let to_string ?(decl = false) x =
   if decl then Buffer.add_string b decl_string;
   emit_node (Buf b) x;
   Buffer.contents b
+
+let to_buffer b x = emit_node (Buf b) x
 
 let hash x =
   let st = Fnv.start () in
@@ -835,6 +838,12 @@ module Reader = struct
       f v 0 (String.length v)
     else f r.src r.attrs.(k + 2) (r.attrs.(k + 3) - r.attrs.(k + 2))
 
+  let text_with r f x =
+    if r.tok_refs then
+      let v = text r in
+      f x v 0 (String.length v)
+    else f x r.src r.tok_pos r.tok_len
+
   let rec attributes_from r i =
     if i >= r.n_attrs then []
     else
@@ -876,7 +885,7 @@ end
 
 (* Called on Start: the name and attributes are read before the
    children overwrite them. *)
-let rec build_element r =
+let rec subtree r =
   let name = Reader.name r in
   let attrs = Reader.attributes r in
   Element (name, attrs, build_children r)
@@ -885,7 +894,7 @@ let rec build_element r =
 and build_children r =
   match Reader.next r with
   | Reader.Start ->
-      let c = build_element r in
+      let c = subtree r in
       c :: build_children r
   | Reader.Text ->
       let c = Text (Reader.text r) in
@@ -902,7 +911,7 @@ let parse s =
   let r = Reader.create s in
   match
     ignore (Reader.next r);
-    let root = build_element r in
+    let root = subtree r in
     ignore (Reader.next r);
     root
   with

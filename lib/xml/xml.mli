@@ -45,6 +45,9 @@ val path : string list -> t -> t option
 val escape_text : string -> string
 val escape_attr : string -> string
 
+val escape_attr_to : Buffer.t -> string -> unit
+(** Appends [escape_attr s] without building it. *)
+
 val to_string : ?decl:bool -> t -> string
 (** Compact, canonical single-line rendering. [decl] prepends the
     [<?xml version="1.0"?>] declaration (default [false]). *)
@@ -52,6 +55,9 @@ val to_string : ?decl:bool -> t -> string
 val to_string_pretty : ?decl:bool -> ?indent:int -> t -> string
 (** Human-readable rendering — the paper stresses that the XML part of the
     envelope is human readable. *)
+
+val to_buffer : Buffer.t -> t -> unit
+(** Appends [to_string x] without building it. *)
 
 val hash : t -> int64
 (** [Pti_util.Fnv.hash64 (to_string x)], computed without building the
@@ -133,6 +139,11 @@ module Reader : sig
   val text : t -> string
   (** The decoded content of the current [Text], [Cdata] or [Comment]. *)
 
+  val text_with : t -> ('a -> string -> int -> int -> 'b) -> 'a -> 'b
+  (** [text_with r f x] is [f x s pos len] over the decoded content of
+      the current [Text], [Cdata] or [Comment]: a range of the source
+      itself when it holds no reference, else a decoded copy. *)
+
   (** {2 Attributes of the current start tag} *)
 
   val attr : t -> string -> int
@@ -185,6 +196,12 @@ module Reader : sig
   (** The FNV-1a hash of the canonical rendering read so far; complete
       at [Eof]. *)
 end
+
+val subtree : Reader.t -> t
+(** Called on a [Start] token: the element and everything in it, read
+    through its matching [End]. {!parse} builds the root with it; a
+    decoder reading a document into its own records uses it for the one
+    part that stays a tree (an embedded SOAP payload). *)
 
 val parse : string -> (t, error) result
 (** Parses one document (prolog and trailing whitespace allowed, comments

@@ -32,3 +32,116 @@ let digest64 (t : Env.t) =
     t.Env.env_payload
 
 let digest t = Fnv.to_hex (digest64 t)
+
+(* The classic XML envelope through a tree, as first written: [to_xml]
+   builds the [Xml.t] and [of_xml] reads one back. The library writes
+   and reads the same bytes without the tree; this pair stays here as
+   the reference those are compared with, results and errors alike. *)
+
+let entry_attrs (e : Env.type_entry) =
+  [
+    ("name", e.Env.te_name);
+    ("guid", Guid.to_string e.Env.te_guid);
+    ("assembly", e.Env.te_assembly);
+    ("downloadPath", e.Env.te_download_path);
+  ]
+  @
+  if e.Env.te_version > 0 then [ ("version", string_of_int e.Env.te_version) ]
+  else []
+
+let payload_to_xml = function
+  | Env.Psoap x -> Xml.elt "payload" ~attrs:[ ("encoding", "soap") ] [ x ]
+  | Env.Pbinary b ->
+      Xml.elt "payload"
+        ~attrs:[ ("encoding", "binary") ]
+        [ Xml.text (Pti_util.Base64.encode b) ]
+
+let to_xml (t : Env.t) =
+  Xml.elt "envelope"
+    ~attrs:[ ("digest", Env.digest t) ]
+    (List.map (fun e -> Xml.elt "type" ~attrs:(entry_attrs e) []) t.Env.env_types
+    @ [ payload_to_xml t.Env.env_payload ])
+
+let attr name x =
+  match Xml.attr name x with
+  | Some v -> Ok v
+  | None -> Error (Env.Malformed (Printf.sprintf "missing attribute %S" name))
+
+let ( let* ) = Result.bind
+
+let rec map_result f = function
+  | [] -> Ok []
+  | x :: rest ->
+      let* y = f x in
+      let* ys = map_result f rest in
+      Ok (y :: ys)
+
+let entry_of_elt e =
+  let* te_name = attr "name" e in
+  let* guid_s = attr "guid" e in
+  let* te_guid =
+    match Guid.of_string guid_s with
+    | Some g -> Ok g
+    | None -> Error (Env.Malformed (Printf.sprintf "bad guid %S" guid_s))
+  in
+  let* te_assembly = attr "assembly" e in
+  let* te_download_path = attr "downloadPath" e in
+  let* te_version =
+    match Xml.attr "version" e with
+    | None -> Ok 0
+    | Some s -> (
+        match int_of_string_opt s with
+        | Some v when v >= 0 -> Ok v
+        | _ -> Error (Env.Malformed (Printf.sprintf "bad version %S" s)))
+  in
+  Ok { Env.te_name; te_guid; te_assembly; te_download_path; te_version }
+
+let payload_of_xml x =
+  let* payload_elt =
+    match Xml.child "payload" x with
+    | Some p -> Ok p
+    | None -> Error (Env.Malformed "missing <payload>")
+  in
+  let* encoding = attr "encoding" payload_elt in
+  match encoding with
+  | "soap" -> (
+      match
+        List.filter
+          (function Xml.Element _ -> true | _ -> false)
+          (Xml.children payload_elt)
+      with
+      | [ inner ] -> Ok (Env.Psoap inner)
+      | _ -> Error (Env.Malformed "soap payload expects one element"))
+  | "binary" -> (
+      match Pti_util.Base64.decode (Xml.text_content payload_elt) with
+      | Some b -> Ok (Env.Pbinary b)
+      | None -> Error (Env.Malformed "bad base64 payload"))
+  | other -> Error (Env.Malformed (Printf.sprintf "unknown encoding %S" other))
+
+let is_typeref = function Xml.Element ("typeref", _, _) -> true | _ -> false
+
+let of_xml x =
+  match Xml.tag x with
+  | Some "envelope" when List.exists is_typeref (Xml.children x) ->
+      Error (Env.Malformed "<typeref> in an XML envelope")
+  | Some "envelope" ->
+      let* env_types = map_result entry_of_elt (Xml.childs "type" x) in
+      let* env_payload = payload_of_xml x in
+      let t = { Env.env_types; env_payload } in
+      let* () =
+        match Xml.attr "digest" x with
+        | None -> Ok ()
+        | Some d when String.equal d (Env.digest t) -> Ok ()
+        | Some _ -> Error (Env.Corrupt "envelope digest mismatch")
+      in
+      Ok t
+  | Some other ->
+      Error (Env.Malformed (Printf.sprintf "expected <envelope>, got <%s>" other))
+  | None -> Error (Env.Malformed "expected an element")
+
+let to_string t = Xml.to_string (to_xml t)
+
+let of_string s =
+  match Xml.parse s with
+  | Error e -> Error (Env.Malformed (Format.asprintf "%a" Xml.pp_error e))
+  | Ok x -> of_xml x

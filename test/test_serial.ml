@@ -605,6 +605,244 @@ let prop_streamed_digest =
     ~count:500 (QCheck.make gen_envelope) (fun env ->
       String.equal (Env.digest env) (Envelope_ref.digest env))
 
+(* The streamed XML codec against the tree pair it replaced
+   (test/envelope_ref.ml). Writing must give the same bytes. Reading
+   must give the same envelope or the same error, constructor and
+   message alike, on documents varied from a rendered envelope: the
+   digest dropped or wrong, children reordered, unknown elements, text
+   and comments among them, a <typeref>, a second or no <payload>,
+   faulty <type> attributes (missing, bad GUID, odd versions), payload
+   text split into CDATA, comments and nested elements, SOAP payloads
+   with no or two elements, pretty printing, character references in
+   place of plain characters, and seeded byte mutations on top. *)
+type tree_edit =
+  | Drop_digest
+  | Wrong_digest
+  | Shuffle of int
+  | Insert of int * Xml.t
+  | Second_payload
+  | Drop_payload
+  | Entry_attr of int * string * string option
+  | Entry_child of int
+  | Binary_pieces of int
+  | Payload_encoding of string option
+  | Soap_extra of Xml.t
+
+let gen_tree_edit =
+  let open QCheck.Gen in
+  let stray =
+    oneofl
+      [
+        Xml.elt "extra" ~attrs:[ ("k", "v") ]
+          [ Xml.elt "type" ~attrs:[ ("name", "n") ] []; Xml.text "t" ];
+        Xml.text " \n ";
+        Xml.text "junk";
+        Xml.Comment " note ";
+        Xml.Cdata "c<d";
+        Xml.elt "typeref" ~attrs:[ ("handle", "1") ] [];
+        Xml.elt "Payload" [];
+      ]
+  in
+  oneof
+    [
+      return Drop_digest;
+      return Wrong_digest;
+      map (fun k -> Shuffle k) nat;
+      map2 (fun i x -> Insert (i, x)) nat stray;
+      return Second_payload;
+      return Drop_payload;
+      map3
+        (fun k a v -> Entry_attr (k, a, v))
+        (int_bound 3)
+        (oneofl [ "name"; "guid"; "assembly"; "downloadPath"; "version"; "x" ])
+        (opt
+           (oneofl
+              [ "xyz"; "-1"; "0x10"; "+5"; "007"; "1_0"; ""; "12";
+                "ABCDEF01-2345-6789-abcd-ef0123456789" ]));
+      map (fun k -> Entry_child k) (int_bound 3);
+      map (fun k -> Binary_pieces k) nat;
+      map
+        (fun e -> Payload_encoding e)
+        (opt (oneofl [ "soap"; "binary"; "zip"; "Binary" ]));
+      map (fun x -> Soap_extra x) stray;
+    ]
+
+let rec insert_at i x = function
+  | l when i <= 0 -> x :: l
+  | [] -> [ x ]
+  | y :: rest -> y :: insert_at (i - 1) x rest
+
+let shuffle k l =
+  let st = Random.State.make [| k |] in
+  List.map snd
+    (List.sort compare (List.map (fun x -> (Random.State.bits st, x)) l))
+
+let set_attr a v attrs =
+  let attrs = List.remove_assoc a attrs in
+  match v with Some v -> attrs @ [ (a, v) ] | None -> attrs
+
+(* Applies [f] to the [k]-th <type> child (counting from 0, modulo their
+   number). *)
+let map_entry k f children =
+  let n =
+    List.length
+      (List.filter (function Xml.Element ("type", _, _) -> true | _ -> false)
+         children)
+  in
+  if n = 0 then children
+  else
+    let k = k mod n and i = ref (-1) in
+    List.map
+      (function
+        | Xml.Element ("type", attrs, cs) ->
+            incr i;
+            if !i = k then f attrs cs else Xml.Element ("type", attrs, cs)
+        | c -> c)
+      children
+
+let map_payload f children =
+  List.map
+    (function
+      | Xml.Element ("payload", attrs, cs) -> f attrs cs | c -> c)
+    children
+
+(* Splits a text into pieces at [k]-derived points: plain text, CDATA,
+   a comment and a nested element's text. *)
+let pieces k text =
+  let n = String.length text in
+  let cut i = if n = 0 then 0 else (k * (i + 3)) mod (n + 1) in
+  let a = min (cut 1) (cut 2) and b = max (cut 1) (cut 2) in
+  [
+    Xml.text (String.sub text 0 a);
+    Xml.Comment "c";
+    Xml.Cdata (String.sub text a (b - a));
+    Xml.elt "i" [ Xml.text (String.sub text b (n - b)) ];
+    Xml.text " \n";
+  ]
+
+let edit_tree x edit =
+  match x with
+  | Xml.Element (tag, attrs, children) -> (
+      let with_children cs = Xml.Element (tag, attrs, cs) in
+      match edit with
+      | Drop_digest -> Xml.Element (tag, List.remove_assoc "digest" attrs, children)
+      | Wrong_digest ->
+          Xml.Element
+            (tag, set_attr "digest" (Some "0123456789abcdef") attrs, children)
+      | Shuffle k -> with_children (shuffle k children)
+      | Insert (i, c) ->
+          with_children (insert_at (i mod (List.length children + 1)) c children)
+      | Second_payload ->
+          with_children
+            (children
+            @ [ Xml.elt "payload" ~attrs:[ ("encoding", "binary") ]
+                  [ Xml.text "AAAA" ] ])
+      | Drop_payload ->
+          with_children
+            (List.filter
+               (function Xml.Element ("payload", _, _) -> false | _ -> true)
+               children)
+      | Entry_attr (k, a, v) ->
+          with_children
+            (map_entry k
+               (fun attrs cs -> Xml.Element ("type", set_attr a v attrs, cs))
+               children)
+      | Entry_child k ->
+          with_children
+            (map_entry k
+               (fun attrs cs ->
+                 Xml.Element
+                   ("type", attrs, cs @ [ Xml.elt "type" []; Xml.text "z" ]))
+               children)
+      | Binary_pieces k ->
+          with_children
+            (map_payload
+               (fun attrs cs ->
+                 Xml.Element ("payload", attrs, pieces k (Xml.text_content
+                   (Xml.elt "p" cs))))
+               children)
+      | Payload_encoding e ->
+          with_children
+            (map_payload
+               (fun attrs cs ->
+                 Xml.Element ("payload", set_attr "encoding" e attrs, cs))
+               children)
+      | Soap_extra c ->
+          with_children
+            (map_payload
+               (fun attrs cs -> Xml.Element ("payload", attrs, cs @ [ c ]))
+               children))
+  | other -> other
+
+(* Plain letters and digits of attribute values and text replaced by
+   character references, at [k]-derived positions. *)
+let with_references k s =
+  let b = Buffer.create (String.length s * 2) in
+  let in_value = ref false and in_text = ref false in
+  String.iteri
+    (fun i c ->
+      (match c with
+      | ('a' .. 'z' | 'A' .. 'Z' | '0' .. '9')
+        when (!in_value || !in_text) && ((i * 7919) + k) mod 13 = 0 ->
+          if i land 1 = 0 then Printf.bprintf b "&#%d;" (Char.code c)
+          else Printf.bprintf b "&#x%X;" (Char.code c)
+      | c -> Buffer.add_char b c);
+      match c with
+      | '"' -> in_value := (not !in_value) && i > 0 && s.[i - 1] = '='
+      | '>' -> if not !in_value then in_text := true
+      | '<' -> if not !in_value then in_text := false
+      | _ -> ())
+    s;
+  Buffer.contents b
+
+let mutate_bytes seed s =
+  let st = Random.State.make [| seed |] in
+  let s = ref s in
+  for _ = 1 to 1 + Random.State.int st 3 do
+    let len = String.length !s in
+    if len > 0 then begin
+      let i = Random.State.int st len in
+      s :=
+        match Random.State.int st 4 with
+        | 0 ->
+            String.mapi
+              (fun j c ->
+                if j = i then Char.chr (Char.code c lxor (1 lsl Random.State.int st 8))
+                else c)
+              !s
+        | 1 -> String.sub !s 0 i ^ String.sub !s (i + 1) (len - i - 1)
+        | 2 ->
+            String.sub !s 0 i
+            ^ String.make 1 (Char.chr (Random.State.int st 256))
+            ^ String.sub !s i (len - i)
+        | _ -> String.sub !s 0 i
+    end
+  done;
+  !s
+
+let gen_envelope_document =
+  let open QCheck.Gen in
+  let* env = gen_envelope in
+  let* edits = list_size (0 -- 3) gen_tree_edit in
+  let* pretty = bool in
+  let* refs = opt ~ratio:0.3 nat in
+  let* mutation = opt ~ratio:0.3 nat in
+  let tree = List.fold_left edit_tree (Envelope_ref.to_xml env) edits in
+  let doc =
+    if pretty then Xml.to_string_pretty tree else Xml.to_string tree
+  in
+  let doc = match refs with Some k -> with_references k doc | None -> doc in
+  let doc = match mutation with Some m -> mutate_bytes m doc | None -> doc in
+  return (env, doc)
+
+let prop_xml_envelope_reference =
+  QCheck.Test.make ~name:"streamed XML envelope codec = the tree reference"
+    ~count:2000
+    (QCheck.make ~print:(fun (_, doc) -> doc) gen_envelope_document)
+    (fun (env, doc) ->
+      String.equal (Env.to_string env) (Envelope_ref.to_string env)
+      && Env.of_string doc = Envelope_ref.of_string doc)
+
 let prop_envelope_roundtrip =
   let r = reg () in
   QCheck.Test.make ~name:"envelope roundtrip on random graphs" ~count:60
@@ -759,7 +997,7 @@ let test_handle_xml_typeref_rejected () =
   let rtab = Ht.create_receiver ~capacity:8 in
   List.iteri (fun i e -> Ht.install rtab (i + 1) e) env.Env.env_types;
   let with_typeref ~keep_digest =
-    match Env.to_xml env with
+    match Envelope_ref.to_xml env with
     | Xml.Element (tag, attrs, children) ->
         let attrs =
           if keep_digest then attrs else List.remove_assoc "digest" attrs
@@ -929,6 +1167,35 @@ let test_bind_frame_roundtrip_and_corruption () =
     | Ok _ -> Alcotest.failf "flip at %d decoded" pos
   done
 
+(* Bind frames are built in the per-domain spare writer; the frame
+   bytes must be those of the original encoder, a fresh writer sealed
+   around the same layout. *)
+let encode_bindings_original binds =
+  let module W = Bio.Writer in
+  let w = W.create () in
+  W.varint w (List.length binds);
+  List.iter
+    (fun (h, e) ->
+      W.varint w h;
+      W.string w e.Env.te_name;
+      W.string w (Pti_util.Guid.to_string e.Env.te_guid);
+      W.string w e.Env.te_assembly;
+      W.string w e.Env.te_download_path)
+    binds;
+  if List.exists (fun (_, e) -> e.Env.te_version > 0) binds then
+    List.iter (fun (_, e) -> W.varint w e.Env.te_version) binds;
+  Bio.seal ~magic:"PTIH\x01" w
+
+let prop_bind_frame_reference =
+  QCheck.Test.make ~name:"bind frame = the original encoder" ~count:300
+    (QCheck.make
+       QCheck.Gen.(
+         let* env = gen_envelope in
+         let* handles = list_repeat (List.length env.Env.env_types) (0 -- 100_000) in
+         return (List.combine handles env.Env.env_types)))
+    (fun binds ->
+      String.equal (Ht.encode_bindings binds) (encode_bindings_original binds))
+
 (* ----------------------- golden wire bytes ------------------------- *)
 
 (* Pinned before digests were streamed into the FNV state and frames went
@@ -1094,10 +1361,19 @@ let test_cold_decoder_alloc () =
 
 module Framing = Pti_serial.Framing
 
-(* Drain every complete frame currently poppable. *)
+let encode payload = Framing.framed (fun w -> Bio.Writer.raw w payload)
+
+(* The payload of the next complete frame, copied out of its view. *)
+let pop dec =
+  match Framing.Decoder.next dec with
+  | Framing.Decoder.Frame -> Ok (Some (Bio.Reader.rest (Framing.Decoder.view dec)))
+  | Framing.Decoder.Partial -> Ok None
+  | Framing.Decoder.Bad e -> Error e
+
+(* Drain every complete frame currently available. *)
 let drain dec =
   let rec go acc =
-    match Framing.Decoder.pop dec with
+    match pop dec with
     | Ok (Some p) -> go (p :: acc)
     | Ok None -> Ok (List.rev acc)
     | Error e -> Error e
@@ -1106,7 +1382,7 @@ let drain dec =
 
 let test_framing_split_at_every_boundary () =
   let payloads = [ ""; "x"; String.make 300 'y'; "tail" ] in
-  let wire = String.concat "" (List.map Framing.encode payloads) in
+  let wire = String.concat "" (List.map encode payloads) in
   (* For every split point: frames completed by the prefix pop early,
      and prefix-frames + suffix-frames = all frames, in order. *)
   for i = 0 to String.length wire do
@@ -1126,7 +1402,7 @@ let test_framing_split_at_every_boundary () =
 
 let test_framing_byte_at_a_time () =
   let payloads = [ "a"; String.make 200 'b'; "" ] in
-  let wire = String.concat "" (List.map Framing.encode payloads) in
+  let wire = String.concat "" (List.map encode payloads) in
   let dec = Framing.Decoder.create () in
   let got = ref [] in
   String.iter
@@ -1141,8 +1417,8 @@ let test_framing_byte_at_a_time () =
 
 let test_framing_oversize_rejected () =
   let dec = Framing.Decoder.create ~max_frame:10 () in
-  Framing.Decoder.feed dec (Framing.encode (String.make 11 'z'));
-  match Framing.Decoder.pop dec with
+  Framing.Decoder.feed dec (encode (String.make 11 'z'));
+  match pop dec with
   | Error e ->
       Alcotest.(check bool) "mentions limit" true
         (String.length e > 0
@@ -1153,7 +1429,7 @@ let test_framing_oversize_rejected () =
 let test_framing_unterminated_varint () =
   let dec = Framing.Decoder.create () in
   Framing.Decoder.feed dec (String.make 11 '\xff');
-  match Framing.Decoder.pop dec with
+  match pop dec with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "runaway varint accepted"
 
@@ -1168,7 +1444,7 @@ let test_framing_overhead () =
       Alcotest.(check int)
         (Printf.sprintf "encode length %d" n)
         (n + Framing.frame_overhead n)
-        (String.length (Framing.encode p)))
+        (String.length (encode p)))
     [ 0; 1; 127; 128; 300 ]
 
 (* Random payload lists survive random re-chunking of the byte stream. *)
@@ -1176,7 +1452,7 @@ let prop_framing_rechunk_roundtrip =
   QCheck.Test.make ~name:"framing roundtrip under random chunking" ~count:200
     QCheck.(pair (small_list (string_of_size Gen.(0 -- 400))) (0 -- 1_000_000))
     (fun (payloads, seed) ->
-      let wire = String.concat "" (List.map Framing.encode payloads) in
+      let wire = String.concat "" (List.map encode payloads) in
       let st = Random.State.make [| seed |] in
       let dec = Framing.Decoder.create () in
       let got = ref [] in
@@ -1245,6 +1521,7 @@ let () =
           Alcotest.test_case "digest collision regression" `Quick
             test_envelope_digest_collision;
           QCheck_alcotest.to_alcotest prop_streamed_digest;
+          QCheck_alcotest.to_alcotest prop_xml_envelope_reference;
           QCheck_alcotest.to_alcotest prop_bin_encode_reference;
           Alcotest.test_case "golden emission order" `Quick
             test_envelope_golden_order;
@@ -1266,6 +1543,7 @@ let () =
           Alcotest.test_case "bind frame roundtrip + corruption" `Quick
             test_bind_frame_roundtrip_and_corruption;
           QCheck_alcotest.to_alcotest prop_batch_frame_flip_always_detected;
+          QCheck_alcotest.to_alcotest prop_bind_frame_reference;
         ] );
       ( "golden",
         [
